@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactcore import (
-    LinMap, Q, action_map, coaction_map, comul_map, counit_map, endo_map,
+    LinMap, action_map, coaction_map, comul_map, counit_map, endo_map, leg_permutation,
     mul_map, raction_map, rcoaction_map, render_flat, unit_map,
 )
 from .structures import (
@@ -454,24 +454,9 @@ def check_prelie(p: PreLie) -> Report:
     # twisted associator, then symmetry in the first two arguments
     assoc = st @ (al @ be).tensor(st @ al.tensor(LinMap.identity(n))) \
         - st @ (st @ be.tensor(al)).tensor(be)
-    flipped = _swap12(assoc, n)
+    flipped = assoc @ leg_permutation((n, n, n), (1, 0, 2))
     v += compare_maps("(13.1)", assoc, flipped, (n, n, n), (n,), ("e",))
     return _report(v)
-
-
-def _swap12(m: LinMap, n: int) -> LinMap:
-    """Precompose a map on A(x)A(x)A with the flip of the first two legs."""
-    cols = n * n * n
-    rows = m.rows
-    out = [[Q(0)] * cols for _ in range(rows)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                src = (b * n + a) * n + c
-                dst = (a * n + b) * n + c
-                for r in range(rows):
-                    out[r][dst] = m.a[r][src]
-    return LinMap(rows, cols, tuple(tuple(r) for r in out))
 
 
 def check_prelie_coalgebra(p: PreLieCoalgebra) -> Report:
@@ -485,21 +470,7 @@ def check_prelie_coalgebra(p: PreLieCoalgebra) -> Report:
     v += compare_maps("(co13.1m)", om.tensor(om) @ de, de @ om, (n,), (n, n), ("e", "e"))
     bar = ((om @ ps).tensor(om).tensor(i1) @ i1.tensor(de) @ de
            - ps.tensor(om).tensor(ps) @ de.tensor(i1) @ de)
-    flipped = _postswap12(bar, n)
+    flipped = leg_permutation((n, n, n), (1, 0, 2)) @ bar
     v += compare_maps("(co13.1)", bar - flipped, LinMap.zero(n * n * n, n),
                       (n,), (n, n, n), ("e", "e", "e"))
     return _report(v)
-
-
-def _postswap12(m: LinMap, n: int) -> LinMap:
-    """Compose a map into A(x)A(x)A with the flip of the first two legs."""
-    rows = n * n * n
-    out = [[Q(0)] * m.cols for _ in range(rows)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                src = (a * n + b) * n + c
-                dst = (b * n + a) * n + c
-                for col in range(m.cols):
-                    out[dst][col] = m.a[src][col]
-    return LinMap(rows, m.cols, tuple(tuple(r) for r in out))

@@ -6,39 +6,40 @@ coproducts induced by an element r (and products induced by a bilinear
 form) are emitted even when r fails the Yang-Baxter residual, because the
 derivation property holds regardless and coassociativity is the caller's
 obligation via :mod:`bihom.ybe`.
+
+Every constructed tensor is a composite of LinMaps built from the structure
+maps, exactly as the checkers in :mod:`bihom.axioms` build both sides of an
+identity; only the final conversion back to a table is layout-specific.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from . import axioms
 from .errors import (
-    MissingCounit, MissingUnit, NonCommutingMaps, NotBialgebra,
+    DimensionMismatch, MissingCounit, MissingUnit, NonCommutingMaps, NotBialgebra,
     NotCoquasitriangular, NotInvariant, NotMorphism, NotQuasitriangular,
     NotYBESolution, PreconditionFailed, WeightMismatch,
 )
 from .exactcore import (
-    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, ZERO,
-    biform_invariant_under, comul_apply, comul_map, counit_map,
-    elem2_invariant_under, endo_inverse, endo_map, mul_apply, mul_map,
-    tensor_vv,
+    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
+    biform_invariant_under, biform_map, coaction_map, coaction_table, comul_map,
+    counit_map, elem2_flat, elem2_invariant_under, elem_map, endo_inverse, endo_map,
+    endo_tensor, first_noncommuting, first_nonmultiplicative, leg_permutation, mul_map,
+    unit_map,
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
     HopfModule, LeftComodule, LeftModule, PreLie, PreLieCoalgebra, RotaBaxter,
-    act_pair_left, act_pair_right,
+    twisted_left_action, twisted_right_action,
 )
 
 
-def _endo_multiplicative(f: Endo, m: Mul) -> bool:
-    n = m.dim
-    for i in range(n):
-        for j in range(n):
-            if f(mul_apply(m, Vec.basis(n, i), Vec.basis(n, j))) != \
-                    mul_apply(m, f(Vec.basis(n, i)), f(Vec.basis(n, j))):
-                return False
-    return True
+def _as_mul(f: LinMap) -> Mul:
+    return Mul(f.rows, action_table(f, f.rows, f.rows))
+
+
+def _as_comul(f: LinMap) -> Comul:
+    return Comul(f.cols, coaction_table(f, f.cols, f.cols))
 
 
 def _endo_comultiplicative(f: Endo, d: Comul) -> bool:
@@ -62,7 +63,7 @@ def _check_unital_twist_compat(a: Algebra, psi: Endo, omega: Endo):
         if not f.commutes_with(g):
             raise PreconditionFailed(tag)
     for f in (psi, omega):
-        if not _endo_multiplicative(f, a.mul):
+        if first_nonmultiplicative(f, a.mul) is not None:
             raise PreconditionFailed("(12.3)")
     if a.unit is None:
         raise MissingUnit("a unital algebra is required")
@@ -103,10 +104,10 @@ def yau_twist(b: Bialgebra, alpha: Endo, beta: Endo, psi: Endo, omega: Endo) -> 
     for f in (a_.alpha, a_.beta, c_.psi, c_.omega):
         if not f.is_identity():
             raise PreconditionFailed("input structure maps must all be the identity")
-    maps = (alpha, beta, psi, omega)
-    _require_square_maps(n, *maps)
-    for f in maps:
-        if not _endo_multiplicative(f, a_.mul):
+    maps = {"alpha": alpha, "beta": beta, "psi": psi, "omega": omega}
+    _require_square_maps(n, *maps.values())
+    for f in maps.values():
+        if first_nonmultiplicative(f, a_.mul) is not None:
             raise NotMorphism("a twist map is not an algebra morphism")
         if not _endo_comultiplicative(f, c_.comul):
             raise NotMorphism("a twist map is not a coalgebra morphism")
@@ -114,18 +115,11 @@ def yau_twist(b: Bialgebra, alpha: Endo, beta: Endo, psi: Endo, omega: Endo) -> 
             raise NotMorphism("a twist map does not fix the unit")
         if c_.counit is not None and counit_map(c_.counit) @ endo_map(f) != counit_map(c_.counit):
             raise NotMorphism("a twist map does not preserve the counit")
-    for f, g in itertools.combinations(maps, 2):
-        if not f.commutes_with(g):
-            raise NonCommutingMaps("twist maps must pairwise commute")
+    if first_noncommuting(maps) is not None:
+        raise NonCommutingMaps("twist maps must pairwise commute")
 
-    twisted_mul = Mul(n, tuple(tuple(tuple(
-        sum((alpha.entries[u][i] * beta.entries[v][j] * a_.mul.c[u][v][k]
-             for u in range(n) for v in range(n)), ZERO)
-        for k in range(n)) for j in range(n)) for i in range(n)))
-    twisted_comul = Comul(n, tuple(tuple(tuple(
-        sum((c_.comul.d[i][u][v] * omega.entries[j][u] * psi.entries[k][v]
-             for u in range(n) for v in range(n)), ZERO)
-        for k in range(n)) for j in range(n)) for i in range(n)))
+    twisted_mul = _as_mul(mul_map(a_.mul) @ endo_map(alpha).tensor(endo_map(beta)))
+    twisted_comul = _as_comul(endo_map(omega).tensor(endo_map(psi)) @ comul_map(c_.comul))
     return Bialgebra(
         Algebra(n, twisted_mul, alpha, beta, a_.unit),
         Coalgebra(n, twisted_comul, psi, omega, c_.counit),
@@ -140,20 +134,9 @@ def trivial_coproduct(a: Algebra, psi: Endo, omega: Endo, weight, side: str = "l
     weight = Q(weight)
     _check_unital_twist_compat(a, psi, omega)
     n = a.dim
-    unit = a.unit
-    d = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        if side == "left":
-            img = omega(Vec.basis(n, i))
-            for j in range(n):
-                for k in range(n):
-                    d[i][j][k] = -weight * img.coeffs[j] * unit.coeffs[k]
-        else:
-            img = psi(Vec.basis(n, i))
-            for j in range(n):
-                for k in range(n):
-                    d[i][j][k] = -weight * unit.coeffs[j] * img.coeffs[k]
-    comul = Comul(n, tuple(tuple(tuple(row) for row in plane) for plane in d))
+    eta = unit_map(a.unit)
+    half = endo_map(omega).tensor(eta) if side == "left" else eta.tensor(endo_map(psi))
+    comul = _as_comul(half.scale(-weight))
     return Bialgebra(a, Coalgebra(n, comul, psi, omega, counit=None), weight)
 
 
@@ -165,19 +148,9 @@ def trivial_product(c: Coalgebra, alpha: Endo, beta: Endo, weight, side: str = "
     weight = Q(weight)
     _check_counital_twist_compat(c, alpha, beta)
     n = c.dim
-    eps = c.counit
-    m = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if side == "left":
-                img = alpha(Vec.basis(n, i))
-                s = eps(Vec.basis(n, j))
-            else:
-                img = beta(Vec.basis(n, j))
-                s = eps(Vec.basis(n, i))
-            for k in range(n):
-                m[i][j][k] = -weight * s * img.coeffs[k]
-    mul = Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in m))
+    eps = counit_map(c.counit)
+    half = endo_map(alpha).tensor(eps) if side == "left" else eps.tensor(endo_map(beta))
+    mul = _as_mul(half.scale(-weight))
     return Bialgebra(Algebra(n, mul, alpha, beta, unit=None), c, weight)
 
 
@@ -189,10 +162,8 @@ def dualize(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra on the dual basis (an involution)."""
     n = b.dim
     a_, c_ = b.algebra, b.coalgebra
-    mul = Mul(n, tuple(tuple(tuple(c_.comul.d[k][i][j] for k in range(n))
-                             for j in range(n)) for i in range(n)))
-    comul = Comul(n, tuple(tuple(tuple(a_.mul.c[j][k][i] for k in range(n))
-                                 for j in range(n)) for i in range(n)))
+    mul = _as_mul(comul_map(c_.comul).transpose())
+    comul = _as_comul(mul_map(a_.mul).transpose())
     unit = Vec(n, c_.counit.coeffs) if c_.counit is not None else None
     counit = Covec(n, a_.unit.coeffs) if a_.unit is not None else None
     return Bialgebra(
@@ -204,8 +175,7 @@ def dualize(b: Bialgebra) -> Bialgebra:
 def dual_coalgebra(a: Algebra) -> Coalgebra:
     """The coalgebra on the dual basis of an algebra (with its evaluation counit)."""
     n = a.dim
-    comul = Comul(n, tuple(tuple(tuple(a.mul.c[j][k][i] for k in range(n))
-                                 for j in range(n)) for i in range(n)))
+    comul = _as_comul(mul_map(a.mul).transpose())
     counit = Covec(n, a.unit.coeffs) if a.unit is not None else None
     return Coalgebra(n, comul, a.beta.transpose(), a.alpha.transpose(), counit)
 
@@ -227,33 +197,15 @@ def aug_tensor_product(x: Augmented, y: Augmented) -> tuple[Algebra, Augmented]:
     na, nb = a_alg.dim, b_alg.dim
     dim = na * nb
     w = x.weight
-
-    def flat(i, j):
-        return i * nb + j
-
-    m = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(na):
-        for j in range(nb):
-            for k in range(na):
-                for l in range(nb):
-                    src1, src2 = flat(i, j), flat(k, l)
-                    aa = mul_apply(a_alg.mul, Vec.basis(na, i), Vec.basis(na, k))
-                    bb = mul_apply(b_alg.mul, Vec.basis(nb, j), Vec.basis(nb, l))
-                    bb_beta = b_alg.beta(Vec.basis(nb, l))
-                    a_alpha = a_alg.alpha(Vec.basis(na, i))
-                    chi_b = y.chi(Vec.basis(nb, j))
-                    chi_a = x.chi(Vec.basis(na, k))
-                    for u in range(na):
-                        for v in range(nb):
-                            m[src1][src2][flat(u, v)] += (
-                                chi_b * aa.coeffs[u] * bb_beta.coeffs[v]
-                                + chi_a * a_alpha.coeffs[u] * bb.coeffs[v]
-                                + w * chi_a * chi_b * a_alpha.coeffs[u] * bb_beta.coeffs[v])
-    mul = Mul(dim, tuple(tuple(tuple(row) for row in plane) for plane in m))
-    alpha = _kron_endo(a_alg.alpha, b_alg.alpha)
-    beta = _kron_endo(a_alg.beta, b_alg.beta)
-    chi = Covec(dim, tuple(x.chi.coeffs[i] * y.chi.coeffs[j]
-                           for i in range(na) for j in range(nb)))
+    chi_a, chi_b = counit_map(x.chi), counit_map(y.chi)
+    left = endo_map(a_alg.alpha).tensor(chi_a)     # a (x) a' -> chi_A(a') alpha_A(a)
+    right = chi_b.tensor(endo_map(b_alg.beta))     # b (x) b' -> chi_B(b) beta_B(b')
+    mul = _as_mul((mul_map(a_alg.mul).tensor(right) + left.tensor(mul_map(b_alg.mul))
+                   + left.tensor(right).scale(w))
+                  @ leg_permutation((na, nb, na, nb), (0, 2, 1, 3)))
+    alpha = endo_tensor(a_alg.alpha, b_alg.alpha)
+    beta = endo_tensor(a_alg.beta, b_alg.beta)
+    chi = Covec(dim, chi_a.tensor(chi_b).a[0])
     algebra = Algebra(dim, mul, alpha, beta, unit=None)
     return algebra, Augmented(algebra, chi, w)
 
@@ -266,63 +218,17 @@ def coaug_tensor_product(x: Coaugmented, y: Coaugmented) -> tuple[Coalgebra, Coa
     nc, nd = c_co.dim, d_co.dim
     dim = nc * nd
     w = x.weight
-    ic, id_ = x.zeta, y.zeta
-
-    def flat(i, j):
-        return i * nd + j
-
-    d = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(nc):
-        for j in range(nd):
-            src = flat(i, j)
-            dc = comul_apply(c_co.comul, Vec.basis(nc, i))
-            dd = comul_apply(d_co.comul, Vec.basis(nd, j))
-            psi_d = d_co.psi(Vec.basis(nd, j))
-            om_c = c_co.omega(Vec.basis(nc, i))
-            for u in range(nc):
-                for v in range(nc):
-                    if dc.m[u][v] == 0:
-                        continue
-                    for s in range(nd):
-                        for t in range(nd):
-                            d[src][flat(u, s)][flat(v, t)] += (
-                                dc.m[u][v] * id_.coeffs[s] * psi_d.coeffs[t])
-            for s in range(nd):
-                for t in range(nd):
-                    if dd.m[s][t] == 0:
-                        continue
-                    for u in range(nc):
-                        for v in range(nc):
-                            d[src][flat(u, s)][flat(v, t)] += (
-                                dd.m[s][t] * om_c.coeffs[u] * ic.coeffs[v])
-            for u in range(nc):
-                for s in range(nd):
-                    for v in range(nc):
-                        for t in range(nd):
-                            d[src][flat(u, s)][flat(v, t)] += (
-                                w * om_c.coeffs[u] * id_.coeffs[s]
-                                * ic.coeffs[v] * psi_d.coeffs[t])
-    comul = Comul(dim, tuple(tuple(tuple(row) for row in plane) for plane in d))
-    psi = _kron_endo(c_co.psi, d_co.psi)
-    omega = _kron_endo(c_co.omega, d_co.omega)
-    zeta = Vec(dim, tuple(ic.coeffs[i] * id_.coeffs[j]
-                          for i in range(nc) for j in range(nd)))
+    zeta_c, zeta_d = unit_map(x.zeta), unit_map(y.zeta)
+    left = endo_map(c_co.omega).tensor(zeta_c)     # c -> omega_C(c) (x) 1_C
+    right = zeta_d.tensor(endo_map(d_co.psi))      # d -> 1_D (x) psi_D(d)
+    comul = _as_comul(leg_permutation((nc, nc, nd, nd), (0, 2, 1, 3))
+                      @ (comul_map(c_co.comul).tensor(right) + left.tensor(comul_map(d_co.comul))
+                         + left.tensor(right).scale(w)))
+    psi = endo_tensor(c_co.psi, d_co.psi)
+    omega = endo_tensor(c_co.omega, d_co.omega)
+    zeta = Vec(dim, zeta_c.tensor(zeta_d).column(0))
     coalgebra = Coalgebra(dim, comul, psi, omega, counit=None)
     return coalgebra, Coaugmented(coalgebra, zeta, w)
-
-
-def _kron_endo(f: Endo, g: Endo) -> Endo:
-    nf, ng = f.dim, g.dim
-    dim = nf * ng
-    entries = [[ZERO] * dim for _ in range(dim)]
-    for i in range(nf):
-        for k in range(nf):
-            if f.entries[i][k] == 0:
-                continue
-            for j in range(ng):
-                for l in range(ng):
-                    entries[i * ng + j][k * ng + l] = f.entries[i][k] * g.entries[j][l]
-    return Endo(dim, tuple(tuple(r) for r in entries))
 
 
 def check_delta_morphism(b: Bialgebra) -> axioms.Report:
@@ -362,6 +268,8 @@ def check_mu_comorphism(b: Bialgebra) -> axioms.Report:
 
 
 def _check_r_preconditions(a: Algebra, psi: Endo, omega: Endo, r: Elem2):
+    if r.dim != a.dim:
+        raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
     _check_unital_twist_compat(a, psi, omega)
     for f, name in ((a.alpha, "alpha"), (a.beta, "beta"), (psi, "psi"), (omega, "omega")):
         if not elem2_invariant_under(f, r):
@@ -379,26 +287,26 @@ def delta_r(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     """
     weight = Q(weight)
     _check_r_preconditions(a, psi, omega, r)
-    comul = _delta_r_comul(a, psi, omega, r, weight, anti)
+    comul = _as_comul(_delta_r_map(a, psi, omega, r, weight, anti))
     return Bialgebra(a, Coalgebra(a.dim, comul, psi, omega, counit=None), weight)
 
 
-def _delta_r_comul(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight: Q,
-                   anti: bool) -> Comul:
-    """The induced coproduct tensor, preconditions assumed already verified."""
-    alpha_inv = endo_inverse(a.alpha)
-    beta_inv = endo_inverse(a.beta)
-    n = a.dim
-    d = []
-    for i in range(n):
-        e = Vec.basis(n, i)
-        pair = act_pair_left(a, omega, alpha_inv(e), r) - act_pair_right(a, psi, r, beta_inv(e))
-        if anti:
-            pair = pair - tensor_vv(a.unit, psi(e)).scale(weight)
-        else:
-            pair = pair - tensor_vv(omega(e), a.unit).scale(weight)
-        d.append(pair.m)
-    return Comul(n, tuple(d))
+def _delta_r_map(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight: Q,
+                 anti: bool) -> LinMap:
+    """The induced coproduct as a map A -> A (x) A, preconditions assumed
+    already verified:
+
+        (mu (x) beta)(omega alphainv (x) r) - (alpha (x) mu)(r (x) psi betainv)
+        - weight * (omega (x) eta)          (anti: weight * (eta (x) psi))
+    """
+    alpha_inv = endo_map(endo_inverse(a.alpha))
+    beta_inv = endo_map(endo_inverse(a.beta))
+    r_map = elem_map(elem2_flat(r))
+    eta = unit_map(a.unit)
+    tail = eta.tensor(endo_map(psi)) if anti else endo_map(omega).tensor(eta)
+    return (twisted_left_action(a, omega, r_map, 2) @ alpha_inv
+            - twisted_right_action(a, psi, r_map, 2) @ beta_inv
+            - tail.scale(weight))
 
 
 def mu_sigma(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
@@ -410,50 +318,33 @@ def mu_sigma(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
         - weight * alpha(x) eps(y)          (anti: weight * eps(x) beta(y))
     """
     weight = Q(weight)
+    if sigma.dim != c.dim:
+        raise DimensionMismatch(f"sigma has dim {sigma.dim}, the coalgebra has dim {c.dim}")
     _check_counital_twist_compat(c, alpha, beta)
     for f, name in ((alpha, "alpha"), (beta, "beta"), (c.psi, "psi"), (c.omega, "omega")):
         if not biform_invariant_under(f, sigma):
             raise NotInvariant(f"sigma is not {name}-invariant")
-    mul = _mu_sigma_mul(c, alpha, beta, sigma, weight, anti)
+    mul = _as_mul(_mu_sigma_map(c, alpha, beta, sigma, weight, anti))
     return Bialgebra(Algebra(c.dim, mul, alpha, beta, unit=None), c, weight)
 
 
-def _mu_sigma_mul(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
-                  weight: Q, anti: bool) -> Mul:
-    """The induced product tensor, preconditions assumed already verified."""
+def _mu_sigma_map(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
+                  weight: Q, anti: bool) -> LinMap:
+    """The induced product as a map A (x) A -> A, preconditions assumed
+    already verified:
+
+        (alpha omegainv (x) sigma)(Delta (x) psi) - (sigma (x) beta psiinv)(omega (x) Delta)
+        - weight * (alpha (x) eps)          (anti: weight * (eps (x) beta))
+    """
     omega_inv = endo_inverse(c.omega)
     psi_inv = endo_inverse(c.psi)
-    n = c.dim
-    eps = c.counit
-    m = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        di = comul_apply(c.comul, Vec.basis(n, i))
-        for j in range(n):
-            ej = Vec.basis(n, j)
-            dj = comul_apply(c.comul, ej)
-            out = Vec.zero(n)
-            psi_j = c.psi(ej)
-            for u in range(n):
-                for v in range(n):
-                    if di.m[u][v] == 0:
-                        continue
-                    coeff = di.m[u][v] * sigma(Vec.basis(n, v), psi_j)
-                    if coeff != 0:
-                        out = out + (alpha @ omega_inv)(Vec.basis(n, u)).scale(coeff)
-            om_i = c.omega(Vec.basis(n, i))
-            for u in range(n):
-                for v in range(n):
-                    if dj.m[u][v] == 0:
-                        continue
-                    coeff = dj.m[u][v] * sigma(om_i, Vec.basis(n, u))
-                    if coeff != 0:
-                        out = out - (beta @ psi_inv)(Vec.basis(n, v)).scale(coeff)
-            if anti:
-                out = out - beta(ej).scale(weight * eps(Vec.basis(n, i)))
-            else:
-                out = out - alpha(Vec.basis(n, i)).scale(weight * eps(ej))
-            m[i][j] = list(out.coeffs)
-    return Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in m))
+    de = comul_map(c.comul)
+    sig = biform_map(sigma)
+    eps = counit_map(c.counit)
+    tail = eps.tensor(endo_map(beta)) if anti else endo_map(alpha).tensor(eps)
+    return (endo_map(alpha @ omega_inv).tensor(sig) @ de.tensor(endo_map(c.psi))
+            - sig.tensor(endo_map(beta @ psi_inv)) @ endo_map(c.omega).tensor(de)
+            - tail.scale(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +352,9 @@ def _mu_sigma_mul(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
 
 
 def _pairwise_commuting(maps: dict[str, Endo]):
-    names = list(maps)
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            if not maps[x].commutes_with(maps[y]):
-                raise PreconditionFailed(f"{x} and {y} must commute")
+    pair = first_noncommuting(maps)
+    if pair is not None:
+        raise PreconditionFailed(f"{pair[0]} and {pair[1]} must commute")
 
 
 def _require_valid_bialgebra(b: Bialgebra):
@@ -521,107 +410,33 @@ def hopf_module_free(b: Bialgebra, v_dim: int, alpha_v: Endo, beta_v: Endo,
 
     nv = v_dim
     dim = na * nv
-
-    def flat(i, p):
-        return i * nv + p
+    mu, de = mul_map(a_.mul), comul_map(c_.comul)
+    ident_v = LinMap.identity(nv)
 
     # left action on A (x) V
-    act = [[[ZERO] * dim for _ in range(dim)] for _ in range(na)]
-    for i in range(na):
-        ei = Vec.basis(na, i)
-        di = comul_apply(c_.comul, ei)
-        for j in range(na):
-            prod = a_.product(ei, Vec.basis(na, j))
-            for p in range(nv):
-                bv = beta_v(Vec.basis(nv, p))
-                src = flat(j, p)
-                for u in range(na):
-                    if prod.coeffs[u] == 0:
-                        continue
-                    for q in range(nv):
-                        if bv.coeffs[q] != 0:
-                            act[i][src][flat(u, q)] += prod.coeffs[u] * bv.coeffs[q]
-                if variant == "counital":
-                    epsb = c_.counit(Vec.basis(na, j))
-                    if epsb != 0:
-                        aa = a_.alpha(ei)
-                        for u in range(na):
-                            if aa.coeffs[u] == 0:
-                                continue
-                            for q in range(nv):
-                                if bv.coeffs[q] != 0:
-                                    act[i][src][flat(u, q)] += (
-                                        b.weight * epsb * aa.coeffs[u] * bv.coeffs[q])
-                if variant == "module_w0":
-                    epsb = c_.counit(Vec.basis(na, j))
-                    if epsb != 0:
-                        am = (a_.alpha @ endo_inverse(c_.omega))
-                        for u in range(na):
-                            for v in range(na):
-                                if di.m[u][v] == 0:
-                                    continue
-                                target = am(Vec.basis(na, u))
-                                acted = extra.act(Vec.basis(na, v), Vec.basis(nv, p))
-                                for w in range(na):
-                                    if target.coeffs[w] == 0:
-                                        continue
-                                    for q in range(nv):
-                                        if acted.coeffs[q] != 0:
-                                            act[i][src][flat(w, q)] += (
-                                                epsb * di.m[u][v]
-                                                * target.coeffs[w] * acted.coeffs[q])
+    act = mu.tensor(endo_map(beta_v))
+    if variant == "counital":
+        act = act + (endo_map(a_.alpha).tensor(counit_map(c_.counit))
+                     .tensor(endo_map(beta_v)).scale(b.weight))
+    if variant == "module_w0":
+        act = act + (endo_map(a_.alpha @ endo_inverse(c_.omega))
+                     .tensor(action_map(extra.action, na, nv))
+                     @ de.tensor(counit_map(c_.counit)).tensor(ident_v))
 
     # left coaction on A (x) V
-    coact = [[[ZERO] * dim for _ in range(na)] for _ in range(dim)]
-    for j in range(na):
-        ej = Vec.basis(na, j)
-        dj = comul_apply(c_.comul, ej)
-        for p in range(nv):
-            pv = psi_v(Vec.basis(nv, p))
-            src = flat(j, p)
-            for u in range(na):
-                for v in range(na):
-                    if dj.m[u][v] == 0:
-                        continue
-                    for q in range(nv):
-                        if pv.coeffs[q] != 0:
-                            coact[src][u][flat(v, q)] += dj.m[u][v] * pv.coeffs[q]
-            if variant == "unital":
-                wa = c_.omega(ej)
-                for u in range(na):
-                    if wa.coeffs[u] == 0:
-                        continue
-                    for w in range(na):
-                        if a_.unit.coeffs[w] == 0:
-                            continue
-                        for q in range(nv):
-                            if pv.coeffs[q] != 0:
-                                coact[src][u][flat(w, q)] += (
-                                    b.weight * wa.coeffs[u]
-                                    * a_.unit.coeffs[w] * pv.coeffs[q])
-            if variant == "comodule_w0":
-                lead = (c_.omega @ endo_inverse(a_.alpha))(ej)
-                for u in range(na):
-                    if lead.coeffs[u] == 0:
-                        continue
-                    for k in range(na):
-                        for q in range(nv):
-                            if extra.coaction[p][k][q] == 0:
-                                continue
-                            prod = a_.product(Vec.basis(na, u), Vec.basis(na, k))
-                            for w in range(na):
-                                if prod.coeffs[w] == 0:
-                                    continue
-                                for w2 in range(na):
-                                    if a_.unit.coeffs[w2] != 0:
-                                        coact[src][w][flat(w2, q)] += (
-                                            lead.coeffs[u] * extra.coaction[p][k][q]
-                                            * prod.coeffs[w] * a_.unit.coeffs[w2])
+    coact = de.tensor(endo_map(psi_v))
+    if variant == "unital":
+        coact = coact + (endo_map(c_.omega).tensor(unit_map(a_.unit))
+                         .tensor(endo_map(psi_v)).scale(b.weight))
+    if variant == "comodule_w0":
+        coact = coact + (mu.tensor(unit_map(a_.unit)).tensor(ident_v)
+                         @ endo_map(c_.omega @ endo_inverse(a_.alpha))
+                         .tensor(coaction_map(extra.coaction, nv, na)))
 
-    module = LeftModule(a_, dim, tuple(tuple(tuple(r) for r in pl) for pl in act),
-                        _kron_endo(a_.alpha, alpha_v), _kron_endo(a_.beta, beta_v))
-    comodule = LeftComodule(c_, dim, tuple(tuple(tuple(r) for r in pl) for pl in coact),
-                            _kron_endo(c_.psi, psi_v), _kron_endo(c_.omega, omega_v))
+    module = LeftModule(a_, dim, action_table(act, na, dim),
+                        endo_tensor(a_.alpha, alpha_v), endo_tensor(a_.beta, beta_v))
+    comodule = LeftComodule(c_, dim, coaction_table(coact, na, dim),
+                            endo_tensor(c_.psi, psi_v), endo_tensor(c_.omega, omega_v))
     return HopfModule(b, module, comodule)
 
 
@@ -653,38 +468,17 @@ def hopf_module_from_qt(b: Bialgebra, r: Elem2, module: LeftModule,
     nm = module.dim
     _pairwise_commuting({"alpha_m": module.alpha_m, "beta_m": module.beta_m,
                          "psi_m": psi_m, "omega_m": omega_m})
+    gam = action_map(module.action, n, nm)
     for f_m, f_a, name in ((psi_m, b.coalgebra.psi, "psi"), (omega_m, b.coalgebra.omega, "omega")):
-        for i in range(n):
-            for p in range(nm):
-                if f_m(module.act(Vec.basis(n, i), Vec.basis(nm, p))) != \
-                        module.act(f_a(Vec.basis(n, i)), f_m(Vec.basis(nm, p))):
-                    raise PreconditionFailed(f"{name} maps do not intertwine the action")
+        fm = endo_map(f_m)
+        if fm @ gam != gam @ endo_map(f_a).tensor(fm):
+            raise PreconditionFailed(f"{name} maps do not intertwine the action")
 
-    coact = [[[ZERO] * nm for _ in range(n)] for _ in range(nm)]
-    for p in range(nm):
-        lead = (psi_m @ beta_m_inv)(Vec.basis(nm, p))
-        for i in range(n):
-            for j in range(n):
-                if r.m[i][j] == 0:
-                    continue
-                first = a_.alpha(Vec.basis(n, i))
-                second = module.act(Vec.basis(n, j), lead)
-                for u in range(n):
-                    if first.coeffs[u] == 0:
-                        continue
-                    for q in range(nm):
-                        if second.coeffs[q] != 0:
-                            coact[p][u][q] -= r.m[i][j] * first.coeffs[u] * second.coeffs[q]
-        if anti:
-            pm = psi_m(Vec.basis(nm, p))
-            for u in range(n):
-                if a_.unit.coeffs[u] == 0:
-                    continue
-                for q in range(nm):
-                    if pm.coeffs[q] != 0:
-                        coact[p][u][q] -= b.weight * a_.unit.coeffs[u] * pm.coeffs[q]
-    comodule = LeftComodule(b.coalgebra, nm,
-                            tuple(tuple(tuple(row) for row in plane) for plane in coact),
+    coact = (endo_map(a_.alpha).tensor(gam)
+             @ elem_map(elem2_flat(r)).tensor(endo_map(psi_m @ beta_m_inv))).scale(-1)
+    if anti:
+        coact = coact - unit_map(a_.unit).tensor(endo_map(psi_m)).scale(b.weight)
+    comodule = LeftComodule(b.coalgebra, nm, coaction_table(coact, n, nm),
                             psi_m, omega_m)
     return HopfModule(b, module, comodule)
 
@@ -716,44 +510,19 @@ def hopf_module_from_coqt(b: Bialgebra, sigma: BiForm, comodule: LeftComodule,
     nm = comodule.dim
     _pairwise_commuting({"alpha_m": alpha_m, "beta_m": beta_m,
                          "psi_m": comodule.psi_m, "omega_m": comodule.omega_m})
-    rho = coaction_map_of(comodule)
+    rho = coaction_map(comodule.coaction, nm, n)
     for f_m, f_a, name in ((alpha_m, b.algebra.alpha, "alpha"), (beta_m, b.algebra.beta, "beta")):
         fm, fa = endo_map(f_m), endo_map(f_a)
         if rho @ fm != fa.tensor(fm) @ rho:
             raise PreconditionFailed(f"{name} maps do not intertwine the coaction")
 
-    act = [[[ZERO] * nm for _ in range(nm)] for _ in range(n)]
-    for i in range(n):
-        om_i = c_.omega(Vec.basis(n, i))
-        for p in range(nm):
-            for k in range(n):
-                for q in range(nm):
-                    h = comodule.coaction[p][k][q]
-                    if h == 0:
-                        continue
-                    s = sigma(om_i, Vec.basis(n, k))
-                    if s == 0:
-                        continue
-                    target = (beta_m @ psi_m_inv)(Vec.basis(nm, q))
-                    for u in range(nm):
-                        if target.coeffs[u] != 0:
-                            act[i][p][u] -= h * s * target.coeffs[u]
-            if anti:
-                epsc = c_.counit(Vec.basis(n, i))
-                if epsc != 0:
-                    bm = beta_m(Vec.basis(nm, p))
-                    for u in range(nm):
-                        if bm.coeffs[u] != 0:
-                            act[i][p][u] -= b.weight * epsc * bm.coeffs[u]
-    module = LeftModule(b.algebra, nm,
-                        tuple(tuple(tuple(row) for row in plane) for plane in act),
+    sig = biform_map(sigma)
+    act = (sig.tensor(endo_map(beta_m @ psi_m_inv)) @ endo_map(c_.omega).tensor(rho)).scale(-1)
+    if anti:
+        act = act - counit_map(c_.counit).tensor(endo_map(beta_m)).scale(b.weight)
+    module = LeftModule(b.algebra, nm, action_table(act, n, nm),
                         alpha_m, beta_m)
     return HopfModule(b, module, comodule)
-
-
-def coaction_map_of(com: LeftComodule) -> LinMap:
-    from .exactcore import coaction_map
-    return coaction_map(com.coaction, com.dim, com.over.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -780,23 +549,16 @@ def rota_baxter_from_r(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     if not report.is_solution:
         raise NotYBESolution(f"r does not solve the ({sign}weight) residual")
     n = a.dim
-    lead_map = (a.beta @ a.beta) @ psi
-    inner_map = (endo_inverse(a.alpha) @ endo_inverse(a.beta))
-    tail_map = a.alpha @ omega
-    cols = []
-    for x in range(n):
-        out = Vec.zero(n)
-        mid = inner_map(Vec.basis(n, x))
-        for i in range(n):
-            for j in range(n):
-                if r.m[i][j] == 0:
-                    continue
-                inner = mul_apply(a.mul, mid, tail_map(Vec.basis(n, j)))
-                term = mul_apply(a.mul, lead_map(Vec.basis(n, i)), inner)
-                out = out + term.scale(r.m[i][j])
-        cols.append(out if sign == "-" else -out)
-    entries = tuple(tuple(cols[x].coeffs[u] for x in range(n)) for u in range(n))
-    return RotaBaxter(a, Endo(n, entries), weight)
+    lead = endo_map((a.beta @ a.beta) @ psi)
+    inner = endo_map(endo_inverse(a.alpha) @ endo_inverse(a.beta))
+    tail = endo_map(a.alpha @ omega)
+    mu = mul_map(a.mul)
+    # x -> r1 (x) inner(x) (x) r2 -> lead(r1) . (inner(x) . tail(r2))
+    op = (mu @ lead.tensor(mu @ LinMap.identity(n).tensor(tail))
+          @ leg_permutation((n, n, n), (0, 2, 1)) @ elem_map(elem2_flat(r)).tensor(inner))
+    if sign == "+":
+        op = op.scale(-1)
+    return RotaBaxter(a, Endo(n, op.a), weight)
 
 
 def dendriform_from_rb(rb: RotaBaxter, variant: str = "prec") -> Dendriform:
@@ -809,23 +571,11 @@ def dendriform_from_rb(rb: RotaBaxter, variant: str = "prec") -> Dendriform:
         raise ValueError(f"variant must be 'prec' or 'succ', got {variant!r}")
     a = rb.algebra
     n = a.dim
-    prec = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    succ = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        ei = Vec.basis(n, i)
-        for j in range(n):
-            ej = Vec.basis(n, j)
-            x_ry = mul_apply(a.mul, ei, rb.op(ej))
-            rx_y = mul_apply(a.mul, rb.op(ei), ej)
-            xy = mul_apply(a.mul, ei, ej)
-            p = x_ry + xy.scale(rb.weight) if variant == "prec" else x_ry
-            s = rx_y if variant == "prec" else rx_y + xy.scale(rb.weight)
-            prec[i][j] = list(p.coeffs)
-            succ[i][j] = list(s.coeffs)
-    return Dendriform(n,
-                      Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in prec)),
-                      Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in succ)),
-                      a.alpha, a.beta)
+    mu, op, ident = mul_map(a.mul), endo_map(rb.op), LinMap.identity(n)
+    x_ry, rx_y, xy = mu @ ident.tensor(op), mu @ op.tensor(ident), mu.scale(rb.weight)
+    prec = x_ry + xy if variant == "prec" else x_ry
+    succ = rx_y if variant == "prec" else rx_y + xy
+    return Dendriform(n, _as_mul(prec), _as_mul(succ), a.alpha, a.beta)
 
 
 def dendriform_from_qt(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
@@ -835,32 +585,24 @@ def dendriform_from_qt(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
                               variant=variant)
 
 
+def _prelie_star(b: Bialgebra, lead: Endo, mid: Endo, tail: Endo) -> Mul:
+    """x * y = (lead(y_1) . mid(x)) . tail(y_2) as a product tensor."""
+    n = b.dim
+    mu = mul_map(b.algebra.mul)
+    first = mu @ endo_map(lead).tensor(endo_map(mid))
+    return _as_mul(mu @ first.tensor(endo_map(tail)) @ leg_permutation((n, n, n), (1, 0, 2))
+                   @ LinMap.identity(n).tensor(comul_map(b.coalgebra.comul)))
+
+
 def prelie_from_bialgebra(b: Bialgebra) -> PreLie:
     """x * y = (alpha^-2 beta omegainv(y_1) . betainv(x)) . psiinv(y_2),
     on a valid bialgebra with all four maps invertible."""
     _require_valid_bialgebra(b)
     a_, c_ = b.algebra, b.coalgebra
-    n = b.dim
     alpha_inv = endo_inverse(a_.alpha)
-    lead_map = (alpha_inv @ alpha_inv) @ a_.beta @ endo_inverse(c_.omega)
-    beta_inv = endo_inverse(a_.beta)
-    psi_inv = endo_inverse(c_.psi)
-    star = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        bx = beta_inv(Vec.basis(n, i))
-        for j in range(n):
-            dj = comul_apply(c_.comul, Vec.basis(n, j))
-            out = Vec.zero(n)
-            for u in range(n):
-                for v in range(n):
-                    if dj.m[u][v] == 0:
-                        continue
-                    first = mul_apply(a_.mul, lead_map(Vec.basis(n, u)), bx)
-                    term = mul_apply(a_.mul, first, psi_inv(Vec.basis(n, v)))
-                    out = out + term.scale(dj.m[u][v])
-            star[i][j] = list(out.coeffs)
-    return PreLie(n, Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in star)),
-                  a_.alpha, a_.beta)
+    lead = (alpha_inv @ alpha_inv) @ a_.beta @ endo_inverse(c_.omega)
+    star = _prelie_star(b, lead, endo_inverse(a_.beta), endo_inverse(c_.psi))
+    return PreLie(b.dim, star, a_.alpha, a_.beta)
 
 
 def prelie_noninv(b: Bialgebra) -> PreLie:
@@ -869,27 +611,10 @@ def prelie_noninv(b: Bialgebra) -> PreLie:
     invertibility needed."""
     _require_valid_bialgebra(b)
     a_, c_ = b.algebra, b.coalgebra
-    n = b.dim
-    lead_map = (a_.beta @ a_.beta) @ c_.psi
-    tail_map = (a_.alpha @ a_.alpha) @ a_.beta @ c_.omega
-    star = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        ax = a_.alpha(Vec.basis(n, i))
-        for j in range(n):
-            dj = comul_apply(c_.comul, Vec.basis(n, j))
-            out = Vec.zero(n)
-            for u in range(n):
-                for v in range(n):
-                    if dj.m[u][v] == 0:
-                        continue
-                    first = mul_apply(a_.mul, lead_map(Vec.basis(n, u)), ax)
-                    term = mul_apply(a_.mul, first, tail_map(Vec.basis(n, v)))
-                    out = out + term.scale(dj.m[u][v])
-            star[i][j] = list(out.coeffs)
     alpha2beta = (a_.alpha @ a_.alpha) @ a_.beta
+    star = _prelie_star(b, (a_.beta @ a_.beta) @ c_.psi, a_.alpha, alpha2beta @ c_.omega)
     tail_twist = alpha2beta @ a_.beta @ c_.psi @ c_.omega
-    return PreLie(n, Mul(n, tuple(tuple(tuple(row) for row in plane) for plane in star)),
-                  alpha2beta, tail_twist)
+    return PreLie(b.dim, star, alpha2beta, tail_twist)
 
 
 def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
@@ -918,27 +643,9 @@ def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
         tail_map = endo_inverse(a_.beta)
         psi_out = c_.psi
         omega_out = c_.omega
-    d = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        di = comul_apply(c_.comul, Vec.basis(n, i))
-        for u in range(n):
-            for v in range(n):
-                if di.m[u][v] == 0:
-                    continue
-                du = comul_apply(c_.comul, Vec.basis(n, u))
-                for s in range(n):
-                    for t in range(n):
-                        if du.m[s][t] == 0:
-                            continue
-                        coeff = di.m[u][v] * du.m[s][t]
-                        left = first_map(Vec.basis(n, t))
-                        right = mul_apply(a_.mul, lead_map(Vec.basis(n, s)),
-                                          tail_map(Vec.basis(n, v)))
-                        for x in range(n):
-                            if left.coeffs[x] == 0:
-                                continue
-                            for y in range(n):
-                                if right.coeffs[y] != 0:
-                                    d[i][x][y] += coeff * left.coeffs[x] * right.coeffs[y]
-    return PreLieCoalgebra(n, Comul(n, tuple(tuple(tuple(row) for row in plane) for plane in d)),
-                           psi_out, omega_out)
+    de = comul_map(c_.comul)
+    right = mul_map(a_.mul) @ endo_map(lead_map).tensor(endo_map(tail_map))
+    # c -> c_11 (x) c_12 (x) c_2 -> first(c_12) (x) lead(c_11) . tail(c_2)
+    delta = (endo_map(first_map).tensor(right) @ leg_permutation((n, n, n), (1, 0, 2))
+             @ de.tensor(LinMap.identity(n)) @ de)
+    return PreLieCoalgebra(n, _as_comul(delta), psi_out, omega_out)

@@ -21,6 +21,8 @@ Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -406,14 +408,9 @@ def elem2_invariant_under(f: Endo, r: Elem2) -> bool:
 
 def biform_invariant_under(f: Endo, s: BiForm) -> bool:
     """f-invariance of a bilinear form: sigma o (f (x) f) = sigma."""
-    n = s.dim
-    for i in range(n):
-        for j in range(n):
-            val = sum((s.s[u][v] * f.entries[u][i] * f.entries[v][j]
-                       for u in range(n) for v in range(n)), ZERO)
-            if val != s.s[i][j]:
-                return False
-    return True
+    sig = biform_map(s)
+    fm = endo_map(f)
+    return sig @ fm.tensor(fm) == sig
 
 
 ELEM3_KINDS = ("r13r12", "r12r23", "r23r13", "r13", "r12", "r23")
@@ -567,6 +564,10 @@ class LinMap:
                             out[i * other.rows + j][k * other.cols + l] = s * other.a[j][l]
         return LinMap(rows, cols, tuple(tuple(r) for r in out))
 
+    def transpose(self) -> "LinMap":
+        return LinMap(self.cols, self.rows, tuple(
+            tuple(row[c] for row in self.a) for c in range(self.cols)))
+
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding maps of different shape")
@@ -598,64 +599,103 @@ def endo_map(f: Endo) -> LinMap:
     return LinMap(f.dim, f.dim, f.entries)
 
 
-def mul_map(m: Mul) -> LinMap:
-    """mu as a map A (x) A -> A."""
-    n = m.dim
-    return LinMap(n, n * n, tuple(
-        tuple(m.c[i][j][k] for i in range(n) for j in range(n)) for k in range(n)))
+def endo_tensor(*fs: Endo) -> Endo:
+    """The Kronecker product f_1 (x) f_2 (x) ... of endomorphisms."""
+    m = endo_map(fs[0])
+    for f in fs[1:]:
+        m = m.tensor(endo_map(f))
+    return Endo(m.rows, m.a)
 
 
-def comul_map(d: Comul) -> LinMap:
-    """Delta as a map A -> A (x) A."""
-    n = d.dim
-    return LinMap(n * n, n, tuple(
-        tuple(d.d[i][j][k] for i in range(n)) for j in range(n) for k in range(n)))
+def elem_map(coeffs: Sequence) -> LinMap:
+    """A vector (of any tensor power, flat row-major) as the map K -> V."""
+    return LinMap(len(coeffs), 1, tuple((c,) for c in coeffs))
+
+
+def form_map(coeffs: Sequence) -> LinMap:
+    """A functional (on any tensor power, flat row-major) as the map V -> K."""
+    return LinMap(1, len(coeffs), (tuple(coeffs),))
+
+
+def biform_map(s: BiForm) -> LinMap:
+    """A bilinear form as the one-row map A (x) A -> K."""
+    return form_map(tuple(x for row in s.s for x in row))
 
 
 def unit_map(u: Vec) -> LinMap:
     """The unit K -> A as a one-column map."""
-    return LinMap(u.dim, 1, tuple((c,) for c in u.coeffs))
+    return elem_map(u.coeffs)
 
 
 def counit_map(e: Covec) -> LinMap:
     """A counit A -> K as a one-row map."""
-    return LinMap(1, e.dim, (tuple(e.coeffs),))
+    return form_map(e.coeffs)
+
+
+# The two layouts of a rank-3 table t[a][b][c] (dimensions d0, d1, d2) as
+# a LinMap; every structure tensor of the package is stored in one of them.
+
+
+def _two_to_one(t, d0: int, d1: int, d2: int) -> LinMap:
+    """e_a (x) e_b -> sum_c t[a][b][c] e_c."""
+    return LinMap(d2, d0 * d1, tuple(
+        tuple(t[a][b][c] for a in range(d0) for b in range(d1)) for c in range(d2)))
+
+
+def _one_to_two(t, d0: int, d1: int, d2: int) -> LinMap:
+    """e_a -> sum_{b,c} t[a][b][c] e_b (x) e_c."""
+    return LinMap(d1 * d2, d0, tuple(
+        tuple(t[a][b][c] for a in range(d0)) for b in range(d1) for c in range(d2)))
+
+
+def action_table(f: LinMap, d0: int, d1: int) -> tuple:
+    """Inverse of the two-to-one layout: t[a][b][c] is the e_c coefficient
+    of f(e_a (x) e_b), for source legs of dimensions (d0, d1). Gives Mul.c
+    and left / right action tables."""
+    return tuple(tuple(tuple(f.a[c][a * d1 + b] for c in range(f.rows))
+                       for b in range(d1)) for a in range(d0))
+
+
+def coaction_table(f: LinMap, d1: int, d2: int) -> tuple:
+    """Inverse of the one-to-two layout: t[a][b][c] is the e_b (x) e_c
+    coefficient of f(e_a), for target legs of dimensions (d1, d2). Gives
+    Comul.d and left / right coaction tables."""
+    return tuple(tuple(tuple(f.a[b * d2 + c][a] for c in range(d2))
+                       for b in range(d1)) for a in range(f.cols))
+
+
+def mul_map(m: Mul) -> LinMap:
+    """mu as a map A (x) A -> A."""
+    return action_map(m.c, m.dim, m.dim)
+
+
+def comul_map(d: Comul) -> LinMap:
+    """Delta as a map A -> A (x) A."""
+    return coaction_map(d.d, d.dim, d.dim)
 
 
 def action_map(act, dim_a: int, dim_m: int) -> LinMap:
     """A left action A (x) M -> M from act[i][p][q]."""
-    return LinMap(dim_m, dim_a * dim_m, tuple(
-        tuple(act[i][p][q] for i in range(dim_a) for p in range(dim_m))
-        for q in range(dim_m)))
+    return _two_to_one(act, dim_a, dim_m, dim_m)
 
 
 def raction_map(ract, dim_m: int, dim_a: int) -> LinMap:
     """A right action M (x) A -> M from ract[p][i][q]."""
-    return LinMap(dim_m, dim_m * dim_a, tuple(
-        tuple(ract[p][i][q] for p in range(dim_m) for i in range(dim_a))
-        for q in range(dim_m)))
+    return _two_to_one(ract, dim_m, dim_a, dim_m)
 
 
 def coaction_map(h, dim_m: int, dim_a: int) -> LinMap:
     """A left coaction M -> A (x) M from h[p][i][q]."""
-    return LinMap(dim_a * dim_m, dim_m, tuple(
-        tuple(h[p][i][q] for p in range(dim_m))
-        for i in range(dim_a) for q in range(dim_m)))
+    return _one_to_two(h, dim_m, dim_a, dim_m)
 
 
 def rcoaction_map(h, dim_m: int, dim_a: int) -> LinMap:
     """A right coaction M -> M (x) A from h[p][q][i]."""
-    return LinMap(dim_m * dim_a, dim_m, tuple(
-        tuple(h[p][q][i] for p in range(dim_m))
-        for q in range(dim_m) for i in range(dim_a)))
+    return _one_to_two(h, dim_m, dim_m, dim_a)
 
 
 def elem2_flat(r: Elem2) -> tuple[Q, ...]:
     return tuple(r.m[i][j] for i in range(r.dim) for j in range(r.dim))
-
-
-def flat_elem2(coeffs: Sequence[Q], dim: int) -> Elem2:
-    return Elem2(dim, tuple(tuple(coeffs[i * dim + j] for j in range(dim)) for i in range(dim)))
 
 
 def elem3_flat(t: Elem3) -> tuple[Q, ...]:
@@ -667,6 +707,40 @@ def flat_elem3(coeffs: Sequence[Q], dim: int) -> Elem3:
     n = dim
     return Elem3(n, tuple(tuple(tuple(coeffs[(i * n + j) * n + k] for k in range(n))
                                 for j in range(n)) for i in range(n)))
+
+
+def leg_permutation(dims: Sequence[int], perm: Sequence[int]) -> LinMap:
+    """The map that reorders tensor legs: target leg t is source leg perm[t].
+
+    dims are the source leg dimensions; perm (1, 0, 2) on (n, n, n) sends
+    e_a (x) e_b (x) e_c to e_b (x) e_a (x) e_c.
+    """
+    out_dims = [dims[p] for p in perm]
+    size = math.prod(dims)
+    rows = [[ZERO] * size for _ in range(size)]
+    for src, idx in enumerate(itertools.product(*(range(d) for d in dims))):
+        dst = 0
+        for d, p in zip(out_dims, perm):
+            dst = dst * d + idx[p]
+        rows[dst][src] = ONE
+    return LinMap(size, size, tuple(tuple(r) for r in rows))
+
+
+def first_nonmultiplicative(f: Endo, m: Mul) -> tuple[int, int] | None:
+    """The first basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j), or None."""
+    fm, mu = endo_map(f), mul_map(m)
+    lhs, rhs = fm @ mu, mu @ fm.tensor(fm)
+    return next((divmod(c, m.dim) for c in range(lhs.cols)
+                 if lhs.column(c) != rhs.column(c)), None)
+
+
+def first_noncommuting(maps: dict[str, Endo]) -> tuple[str, str] | None:
+    """The first pair of names, in insertion order, whose maps do not commute."""
+    for x, y in itertools.combinations(maps, 2):
+        fx, fy = endo_map(maps[x]), endo_map(maps[y])
+        if fx @ fy != fy @ fx:
+            return x, y
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ checkers in :mod:`bihom.axioms` do that and report violations as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, NonCommutingMaps, NonMultiplicativeMap
 from .exactcore import (
-    Comul, Covec, Elem2, Elem3, Endo, Mul, Q, Vec, ZERO, mul_apply,
+    Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
+    elem2_flat, elem3_flat, elem_map, endo_map, endo_tensor, first_noncommuting,
+    first_nonmultiplicative, flat_elem3, mul_apply, mul_map, raction_map,
 )
 
 
@@ -100,19 +101,6 @@ class LeftModule:
         if self.alpha_m.dim != self.dim or self.beta_m.dim != self.dim:
             raise DimensionMismatch("module maps have wrong dim")
 
-    def act(self, a: Vec, m: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for i in range(self.over.dim):
-            if a.coeffs[i] == 0:
-                continue
-            for p in range(self.dim):
-                s = a.coeffs[i] * m.coeffs[p]
-                if s == 0:
-                    continue
-                for q in range(self.dim):
-                    out[q] += s * self.action[i][p][q]
-        return Vec(self.dim, tuple(out))
-
 
 @dataclass(frozen=True)
 class RightModule:
@@ -129,19 +117,6 @@ class RightModule:
         _check_rank3(self.action, (self.dim, self.over.dim, self.dim), "right action")
         if self.alpha_m.dim != self.dim or self.beta_m.dim != self.dim:
             raise DimensionMismatch("module maps have wrong dim")
-
-    def act(self, m: Vec, a: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for p in range(self.dim):
-            if m.coeffs[p] == 0:
-                continue
-            for i in range(self.over.dim):
-                s = m.coeffs[p] * a.coeffs[i]
-                if s == 0:
-                    continue
-                for q in range(self.dim):
-                    out[q] += s * self.action[p][i][q]
-        return Vec(self.dim, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -338,26 +313,31 @@ class Coaugmented:
 # twisted actions of an algebra on its own tensor squares and cubes
 
 
+def twisted_left_action(a_alg: Algebra, omega: Endo, t: LinMap, legs: int) -> LinMap:
+    """a |> t = omega(a)t_1 (x) beta(t_2) (x) ... (x) beta(t_legs), as a map
+    A -> A^(x)legs; t is an element of A^(x)legs given as a map K -> A^(x)legs."""
+    head = mul_map(a_alg.mul)
+    for _ in range(legs - 1):
+        head = head.tensor(endo_map(a_alg.beta))
+    return head @ endo_map(omega).tensor(t)
+
+
+def twisted_right_action(a_alg: Algebra, psi: Endo, t: LinMap, legs: int) -> LinMap:
+    """t <| a = alpha(t_1) (x) ... (x) alpha(t_(legs-1)) (x) t_legs.psi(a), as
+    a map A -> A^(x)legs."""
+    head = mul_map(a_alg.mul)
+    for _ in range(legs - 1):
+        head = endo_map(a_alg.alpha).tensor(head)
+    return head @ t.tensor(endo_map(psi))
+
+
 def act_pair_left(a_alg: Algebra, omega: Endo, a: Vec, xy: Elem2) -> Elem2:
     """a |> (x (x) y) = omega(a)x (x) beta(y), extended bilinearly."""
     n = a_alg.dim
     if a.dim != n or xy.dim != n or omega.dim != n:
         raise DimensionMismatch("left pair action operands disagree on dim")
-    wa = omega(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            s = xy.m[x][y]
-            if s == 0:
-                continue
-            left = mul_apply(a_alg.mul, wa, Vec.basis(n, x))
-            by = a_alg.beta(Vec.basis(n, y))
-            for u in range(n):
-                if left.coeffs[u] == 0:
-                    continue
-                for v in range(n):
-                    out[u][v] += s * left.coeffs[u] * by.coeffs[v]
-    return Elem2(n, tuple(tuple(row) for row in out))
+    flat = twisted_left_action(a_alg, omega, elem_map(elem2_flat(xy)), 2).apply_flat(a.coeffs)
+    return Elem2(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
 def act_pair_right(a_alg: Algebra, psi: Endo, xy: Elem2, a: Vec) -> Elem2:
@@ -365,21 +345,8 @@ def act_pair_right(a_alg: Algebra, psi: Endo, xy: Elem2, a: Vec) -> Elem2:
     n = a_alg.dim
     if a.dim != n or xy.dim != n or psi.dim != n:
         raise DimensionMismatch("right pair action operands disagree on dim")
-    pa = psi(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            s = xy.m[x][y]
-            if s == 0:
-                continue
-            ax = a_alg.alpha(Vec.basis(n, x))
-            right = mul_apply(a_alg.mul, Vec.basis(n, y), pa)
-            for u in range(n):
-                if ax.coeffs[u] == 0:
-                    continue
-                for v in range(n):
-                    out[u][v] += s * ax.coeffs[u] * right.coeffs[v]
-    return Elem2(n, tuple(tuple(row) for row in out))
+    flat = twisted_right_action(a_alg, psi, elem_map(elem2_flat(xy)), 2).apply_flat(a.coeffs)
+    return Elem2(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
 def act_triple(a_alg: Algebra, psi: Endo, omega: Endo, side: str, a: Vec, t: Elem3) -> Elem3:
@@ -393,34 +360,10 @@ def act_triple(a_alg: Algebra, psi: Endo, omega: Endo, side: str, a: Vec, t: Ele
     n = a_alg.dim
     if a.dim != n or t.dim != n:
         raise DimensionMismatch("triple action operands disagree on dim")
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    wa = omega(a)
-    pa = psi(a)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                s = t.t[x][y][z]
-                if s == 0:
-                    continue
-                if side == "left":
-                    first = mul_apply(a_alg.mul, wa, Vec.basis(n, x))
-                    second = a_alg.beta(Vec.basis(n, y))
-                    third = a_alg.beta(Vec.basis(n, z))
-                else:
-                    first = a_alg.alpha(Vec.basis(n, x))
-                    second = a_alg.alpha(Vec.basis(n, y))
-                    third = mul_apply(a_alg.mul, Vec.basis(n, z), pa)
-                for u in range(n):
-                    cu = first.coeffs[u]
-                    if cu == 0:
-                        continue
-                    for v in range(n):
-                        cv = cu * second.coeffs[v]
-                        if cv == 0:
-                            continue
-                        for w in range(n):
-                            out[u][v][w] += s * cv * third.coeffs[w]
-    return Elem3(n, tuple(tuple(tuple(row) for row in plane) for plane in out))
+    t_map = elem_map(elem3_flat(t))
+    action = (twisted_left_action(a_alg, omega, t_map, 3) if side == "left"
+              else twisted_right_action(a_alg, psi, t_map, 3))
+    return flat_elem3(action.apply_flat(a.coeffs), n)
 
 
 def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
@@ -435,104 +378,33 @@ def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
     """
     dim_a = a_alg.dim
     for f, name in ((psi_a, "psi"), (omega_a, "omega")):
-        for i in range(dim_a):
-            for j in range(dim_a):
-                lhs = f(mul_apply(a_alg.mul, Vec.basis(dim_a, i), Vec.basis(dim_a, j)))
-                rhs = mul_apply(a_alg.mul, f(Vec.basis(dim_a, i)), f(Vec.basis(dim_a, j)))
-                if lhs != rhs:
-                    raise NonMultiplicativeMap(f"{name} is not multiplicative at basis pair ({i}, {j})")
-    maps = {"alpha": a_alg.alpha, "beta": a_alg.beta, "psi": psi_a, "omega": omega_a}
-    names = list(maps)
-    for i, x in enumerate(names):
-        for y in names[i + 1:]:
-            if not maps[x].commutes_with(maps[y]):
-                raise NonCommutingMaps(f"{x} and {y} do not commute")
+        pair = first_nonmultiplicative(f, a_alg.mul)
+        if pair is not None:
+            raise NonMultiplicativeMap(f"{name} is not multiplicative at basis pair {pair}")
+    pair = first_noncommuting({"alpha": a_alg.alpha, "beta": a_alg.beta,
+                               "psi": psi_a, "omega": omega_a})
+    if pair is not None:
+        raise NonCommutingMaps(f"{pair[0]} and {pair[1]} do not commute")
 
-    dm, dn, dv = m.dim, n_mod.dim, v.dim
-    dim = dm * dn * dv
-
-    def flat(p, q, s):
-        return (p * dn + q) * dv + s
-
-    action = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim_a)]
-    raction = [[[ZERO] * dim for _ in range(dim_a)] for _ in range(dim)]
-    # dense but tiny: carrier dims stay single-digit at desk scale
-    for i in range(dim_a):
-        wa = omega_a(Vec.basis(dim_a, i))
-        pa = psi_a(Vec.basis(dim_a, i))
-        for p in range(dm):
-            lm = [ZERO] * dm
-            for j in range(dim_a):
-                if wa.coeffs[j] == 0:
-
-                    continue
-                for q2 in range(dm):
-                    lm[q2] += wa.coeffs[j] * m.action[j][p][q2]
-            for q in range(dn):
-                bn = n_mod.beta_m(Vec.basis(dn, q))
-                for s in range(dv):
-                    bv = v.beta_m(Vec.basis(dv, s))
-                    src = flat(p, q, s)
-                    for p2 in range(dm):
-                        if lm[p2] == 0:
-                            continue
-                        for q2 in range(dn):
-                            if bn.coeffs[q2] == 0:
-                                continue
-                            for s2 in range(dv):
-                                if bv.coeffs[s2] != 0:
-                                    action[i][src][flat(p2, q2, s2)] += lm[p2] * bn.coeffs[q2] * bv.coeffs[s2]
-        for p in range(dm):
-            am = m.alpha_m(Vec.basis(dm, p))
-            for q in range(dn):
-                an = n_mod.alpha_m(Vec.basis(dn, q))
-                for s in range(dv):
-                    rv = [ZERO] * dv
-                    for j in range(dim_a):
-                        if pa.coeffs[j] == 0:
-                            continue
-                        for s2 in range(dv):
-                            rv[s2] += pa.coeffs[j] * v.raction[s][j][s2]
-                    src = flat(p, q, s)
-                    for p2 in range(dm):
-                        if am.coeffs[p2] == 0:
-                            continue
-                        for q2 in range(dn):
-                            if an.coeffs[q2] == 0:
-                                continue
-                            for s2 in range(dv):
-                                if rv[s2] != 0:
-                                    raction[src][i][flat(p2, q2, s2)] += am.coeffs[p2] * an.coeffs[q2] * rv[s2]
-
-    def kron3(x: Endo, y: Endo, z: Endo) -> Endo:
-        entries = [[ZERO] * dim for _ in range(dim)]
-        for p in range(dm):
-            for q in range(dn):
-                for s in range(dv):
-                    for p2 in range(dm):
-                        for q2 in range(dn):
-                            for s2 in range(dv):
-                                entries[flat(p2, q2, s2)][flat(p, q, s)] = (
-                                    x.entries[p2][p] * y.entries[q2][q] * z.entries[s2][s])
-        return Endo(dim, tuple(tuple(r) for r in entries))
-
+    dim = m.dim * n_mod.dim * v.dim
+    left = (action_map(m.action, dim_a, m.dim)
+            @ endo_map(omega_a).tensor(LinMap.identity(m.dim))
+            ).tensor(endo_map(n_mod.beta_m)).tensor(endo_map(v.beta_m))
+    right = endo_map(m.alpha_m).tensor(endo_map(n_mod.alpha_m)).tensor(
+        raction_map(v.raction, v.dim, dim_a) @ LinMap.identity(v.dim).tensor(endo_map(psi_a)))
     return Bimodule(
         over=a_alg,
         dim=dim,
-        action=tuple(tuple(tuple(row) for row in plane) for plane in action),
-        raction=tuple(tuple(tuple(row) for row in plane) for plane in raction),
-        alpha_m=kron3(m.alpha_m, n_mod.alpha_m, v.alpha_m),
-        beta_m=kron3(m.beta_m, n_mod.beta_m, v.beta_m),
+        action=action_table(left, dim_a, dim),
+        raction=action_table(right, dim, dim_a),
+        alpha_m=endo_tensor(m.alpha_m, n_mod.alpha_m, v.alpha_m),
+        beta_m=endo_tensor(m.beta_m, n_mod.beta_m, v.beta_m),
     )
 
 
 def regular_bimodule(a_alg: Algebra) -> Bimodule:
     """A acting on itself on both sides by its own multiplication."""
-    n = a_alg.dim
-    action = a_alg.mul.c
-    raction = tuple(tuple(tuple(a_alg.mul.c[p][i][q] for q in range(n))
-                          for i in range(n)) for p in range(n))
-    return Bimodule(a_alg, n, action, raction, a_alg.alpha, a_alg.beta)
+    return Bimodule(a_alg, a_alg.dim, a_alg.mul.c, a_alg.mul.c, a_alg.alpha, a_alg.beta)
 
 
 def regular_left_module(a_alg: Algebra) -> LeftModule:
@@ -541,7 +413,4 @@ def regular_left_module(a_alg: Algebra) -> LeftModule:
 
 def regular_left_comodule(c_coalg: Coalgebra) -> LeftComodule:
     """C coacting on itself by its own comultiplication."""
-    n = c_coalg.dim
-    h = tuple(tuple(tuple(c_coalg.comul.d[p][i][q] for q in range(n))
-                    for i in range(n)) for p in range(n))
-    return LeftComodule(c_coalg, n, h, c_coalg.psi, c_coalg.omega)
+    return LeftComodule(c_coalg, c_coalg.dim, c_coalg.comul.d, c_coalg.psi, c_coalg.omega)

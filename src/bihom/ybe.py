@@ -16,16 +16,18 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import axioms, constructions
-from .errors import BihomError, MissingCounit, MissingUnit, SearchSpaceTooLarge
-from .exactcore import (
-    ELEM3_KINDS as ELEM3_ALL, BiForm, Elem2, Elem3, Endo, Q, Vec, ZERO,
-    comul_apply, comul_map, elem2_invariant_under, elem3_build, endo_inverse,
-    endo_is_invertible, endo_map, flat_elem3, mul_apply,
+from .errors import (
+    BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
-from .structures import Algebra, Coalgebra, act_triple
+from .exactcore import (
+    ELEM3_KINDS as ELEM3_ALL, BiForm, Elem2, Elem3, Endo, LinMap, Q,
+    biform_invariant_under, biform_map, comul_map, counit_map, elem2_flat,
+    elem2_invariant_under, elem3_build, elem3_flat, elem_map, endo_inverse,
+    endo_is_invertible, endo_map, flat_elem3, leg_permutation,
+)
+from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     omitted when those hypotheses fail.
     """
     weight = Q(weight)
+    if r.dim != a.dim:
+        raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
     invariant = all(elem2_invariant_under(f, r) for f in (a.alpha, a.beta, psi, omega))
     characterizable = (invariant and endo_is_invertible(a.alpha)
                        and endo_is_invertible(a.beta))
@@ -83,10 +87,10 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
         try:
             for anti_flag, key_left, key_right in ((False, "(14.8)", "(14.9)"),
                                                    (True, "(14.28)", "(14.29)")):
-                comul = constructions._delta_r_comul(a, psi, omega, r, weight, anti_flag)
-                dmap = comul_map(comul)
-                lhs_left = flat_elem3(dmap.tensor(endo_map(psi)).apply_flat(_flat2(r)), a.dim)
-                lhs_right = flat_elem3(endo_map(omega).tensor(dmap).apply_flat(_flat2(r)), a.dim)
+                dmap = constructions._delta_r_map(a, psi, omega, r, weight, anti_flag)
+                flat_r = elem2_flat(r)
+                lhs_left = flat_elem3(dmap.tensor(endo_map(psi)).apply_flat(flat_r), a.dim)
+                lhs_right = flat_elem3(endo_map(omega).tensor(dmap).apply_flat(flat_r), a.dim)
                 if anti_flag:
                     rhs_left = (-parts["r23r13"]) - (parts["r23"] + parts["r13"]).scale(weight)
                     rhs_right = parts["r13r12"]
@@ -100,10 +104,6 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     return YbeReport(residual, residual.is_zero(), characterization)
 
 
-def _flat2(r: Elem2):
-    return tuple(r.m[i][j] for i in range(r.dim) for j in range(r.dim))
-
-
 def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
                      anti: bool = False) -> axioms.Report:
     """The invariance condition equivalent to coassociativity of the
@@ -114,27 +114,12 @@ def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     weight = Q(weight)
     alpha_inv = endo_inverse(a.alpha)
     beta_inv = endo_inverse(a.beta)
-    residual = _residual_elem3(a, psi, omega, r, weight, anti)
-    eq_id = "(coboundary1)" if anti else "(coboundary)"
-    violations = []
+    residual = elem_map(elem3_flat(_residual_elem3(a, psi, omega, r, weight, anti)))
     n = a.dim
-    for i in range(n):
-        x = Vec.basis(n, i)
-        lhs = act_triple(a, psi, omega, "left", (omega @ alpha_inv)(x), residual)
-        rhs = act_triple(a, psi, omega, "right", (psi @ beta_inv)(x), residual)
-        if lhs != rhs:
-            from .exactcore import render_elem3
-            violations.append(axioms.Violation(eq_id, (i,), render_elem3(lhs), render_elem3(rhs)))
-    return axioms._report(violations)
-
-
-def _pair_table(sigma: BiForm, f: Endo, g: Endo):
-    """table[i][j] = sigma(f(e_i), g(e_j))."""
-    n = sigma.dim
-    return [[sum((sigma.s[u][v] * f.entries[u][i] * g.entries[v][j]
-                  for u in range(n) for v in range(n)
-                  if f.entries[u][i] != 0 and g.entries[v][j] != 0), ZERO)
-             for j in range(n)] for i in range(n)]
+    lhs = twisted_left_action(a, omega, residual, 3) @ endo_map(omega @ alpha_inv)
+    rhs = twisted_right_action(a, psi, residual, 3) @ endo_map(psi @ beta_inv)
+    eq_id = "(coboundary1)" if anti else "(coboundary)"
+    return axioms._report(axioms.compare_maps(eq_id, lhs, rhs, (n,), (n, n, n), ("e", "e", "e")))
 
 
 def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
@@ -144,94 +129,63 @@ def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weig
     weight = Q(weight)
     if c.counit is None:
         raise MissingCounit("the co-residual needs the counit")
+    if sigma.dim != c.dim:
+        raise DimensionMismatch(f"sigma has dim {sigma.dim}, the coalgebra has dim {c.dim}")
     n = c.dim
-    eps = c.counit
     sign = -weight if anti else weight
-    ident = Endo.identity(n)
+    i1 = LinMap.identity(n)
+    al, be = endo_map(alpha), endo_map(beta)
+    ps, om = endo_map(c.psi), endo_map(c.omega)
+    de = comul_map(c.comul)
+    sig = biform_map(sigma)
+    eps = counit_map(c.counit)
 
-    deltas = [comul_apply(c.comul, Vec.basis(n, i)) for i in range(n)]
-    s_a_bo = _pair_table(sigma, alpha, beta @ c.omega)      # sigma(alpha(u), beta omega(k))
-    s_id_psi = _pair_table(sigma, ident, c.psi)             # sigma(v, psi(j))
-    s_om_id = _pair_table(sigma, c.omega, ident)            # sigma(omega(i), u)
-    s_apsi_b = _pair_table(sigma, alpha @ c.psi, beta)      # sigma(alpha psi(i), beta(v))
-    s_a_b = _pair_table(sigma, alpha, beta)                 # sigma(alpha(i), beta(k))
-
-    tensor = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                term1 = sum((deltas[i].m[u][v] * s_a_bo[u][k] * s_id_psi[v][j]
-                             for u in range(n) for v in range(n)
-                             if deltas[i].m[u][v] != 0), ZERO)
-                term2 = sum((deltas[j].m[u][v] * s_om_id[i][u] * s_id_psi[v][k]
-                             for u in range(n) for v in range(n)
-                             if deltas[j].m[u][v] != 0), ZERO)
-                term3 = sum((deltas[k].m[u][v] * s_om_id[j][u] * s_apsi_b[i][v]
-                             for u in range(n) for v in range(n)
-                             if deltas[k].m[u][v] != 0), ZERO)
-                rhs = sign * s_a_b[i][k] * eps.coeffs[j]
-                tensor[i][j][k] = term1 - term2 + term3 - rhs
-    residual = Elem3(n, tuple(tuple(tuple(row) for row in plane) for plane in tensor))
+    # each term is a functional on basis triples (i, j, k)
+    term1 = (sig @ al.tensor(be @ om)).tensor(sig @ i1.tensor(ps)) \
+        @ leg_permutation((n,) * 4, (0, 3, 1, 2)) @ de.tensor(i1).tensor(i1)
+    term2 = (sig @ om.tensor(i1)).tensor(sig @ i1.tensor(ps)) @ i1.tensor(de).tensor(i1)
+    term3 = (sig @ om.tensor(i1)).tensor(sig @ (al @ ps).tensor(be)) \
+        @ leg_permutation((n,) * 4, (1, 2, 0, 3)) @ i1.tensor(i1).tensor(de)
+    s_a_b_eps = (sig @ al.tensor(be)).tensor(eps) @ leg_permutation((n,) * 3, (0, 2, 1))
+    value = term1 - term2 + term3 - s_a_b_eps.scale(sign)
+    residual = flat_elem3(value.a[0], n)
 
     characterization: dict[str, bool] = {}
-    invariant = all(
-        _pair_table(sigma, f, f) == [list(row) for row in sigma.s]
-        for f in (alpha, beta, c.psi, c.omega))
+    invariant = all(biform_invariant_under(f, sigma) for f in (alpha, beta, c.psi, c.omega))
     if invariant and endo_is_invertible(c.psi) and endo_is_invertible(c.omega):
         try:
             characterization.update(_coqt_characterization(
-                c, alpha, beta, sigma, weight, deltas,
-                dict(s_a_bo=s_a_bo, s_id_psi=s_id_psi, s_om_id=s_om_id,
-                     s_apsi_b=s_apsi_b, s_a_b=s_a_b)))
+                c, alpha, beta, sigma, weight, sig, term1, term3, s_a_b_eps))
         except BihomError:
             characterization = {}
     return YbeReport(residual, residual.is_zero(), characterization)
 
 
 def _coqt_characterization(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
-                           weight: Q, deltas, tables) -> dict[str, bool]:
+                           weight: Q, sig: LinMap, term1: LinMap, term3: LinMap,
+                           s_a_b_eps: LinMap) -> dict[str, bool]:
+    """The product and dual characterizations of both induced products, as
+    functionals on basis triples (i, j, k)."""
     n = c.dim
-    eps = c.counit
-    ident = Endo.identity(n)
-    s_id_b = _pair_table(sigma, ident, beta)    # sigma(u, beta(k))
-    s_a_id = _pair_table(sigma, alpha, ident)   # sigma(alpha(i), u)
-    s_plain = [list(row) for row in sigma.s]
+    i1 = LinMap.identity(n)
+    eps = counit_map(c.counit)
+    s_id_b = sig @ i1.tensor(endo_map(beta))       # sigma(u, beta(k))
+    s_a_id = sig @ endo_map(alpha).tensor(i1)      # sigma(alpha(i), u)
 
     characterization: dict[str, bool] = {}
     for anti_flag, key_prod, key_dual in ((False, "(01.06)", "(01.07)"),
                                           (True, "(01.10)", "(01.11)")):
-        mul = constructions._mu_sigma_mul(c, alpha, beta, sigma, weight, anti_flag)
-        ok_prod = True
-        ok_dual = True
-        for i in range(n):
-            for j in range(n):
-                prod_ij = mul.c[i][j]
-                for k in range(n):
-                    lhs = sum((prod_ij[u] * s_id_b[u][k] for u in range(n)
-                               if prod_ij[u] != 0), ZERO)
-                    rhs = -sum((deltas[k].m[u][v] * tables["s_om_id"][j][u]
-                                * tables["s_apsi_b"][i][v]
-                                for u in range(n) for v in range(n)
-                                if deltas[k].m[u][v] != 0), ZERO)
-                    if anti_flag:
-                        rhs -= weight * tables["s_a_b"][i][k] * eps.coeffs[j]
-                        rhs -= weight * s_plain[j][k] * eps.coeffs[i]
-                    if lhs != rhs:
-                        ok_prod = False
-                    prod_jk = mul.c[j][k]
-                    lhs2 = sum((prod_jk[u] * s_a_id[i][u] for u in range(n)
-                                if prod_jk[u] != 0), ZERO)
-                    rhs2 = sum((deltas[i].m[u][v] * tables["s_a_bo"][u][k]
-                                * tables["s_id_psi"][v][j]
-                                for u in range(n) for v in range(n)
-                                if deltas[i].m[u][v] != 0), ZERO)
-                    if not anti_flag:
-                        rhs2 -= weight * tables["s_a_b"][i][k] * eps.coeffs[j]
-                        rhs2 -= weight * s_plain[i][j] * eps.coeffs[k]
-                    if lhs2 != rhs2:
-                        ok_dual = False
-        characterization[key_prod] = ok_prod
-        characterization[key_dual] = ok_dual
+        mu = constructions._mu_sigma_map(c, alpha, beta, sigma, weight, anti_flag)
+        lhs = s_id_b @ mu.tensor(i1)                 # sigma(ij, beta(k))
+        rhs = term3.scale(-1)
+        lhs2 = s_a_id @ i1.tensor(mu)                # sigma(alpha(i), jk)
+        rhs2 = term1
+        if anti_flag:
+            rhs = rhs - (s_a_b_eps + eps.tensor(sig)).scale(weight)
+        else:
+            rhs2 = rhs2 - (s_a_b_eps + sig.tensor(eps)).scale(weight)
+        characterization[key_prod] = lhs == rhs
+        characterization[key_dual] = lhs2 == rhs2
     return characterization
 
 
