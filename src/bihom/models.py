@@ -189,6 +189,11 @@ class ModelFile:
 # parsing
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not indices or dimensions."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_scalar_field(raw, where: str) -> Q:
     try:
         return scalar_parse(raw)
@@ -218,7 +223,7 @@ def _parse_triples(raw, shape: tuple[int, int, int], where: str):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"{where}: entries must be [i, j, k, scalar]")
         i, j, k, val = entry
-        if not all(isinstance(x, int) for x in (i, j, k)):
+        if not all(_is_int(x) for x in (i, j, k)):
             raise ParseError(f"{where}: indices must be integers")
         if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
             raise IndexOutOfRange(f"{where}: entry [{i}, {j}, {k}] outside dims {shape}")
@@ -234,7 +239,7 @@ def _parse_pairs(raw, dim: int, where: str):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{where}: entries must be [i, j, scalar]")
         i, j, val = entry
-        if not all(isinstance(x, int) for x in (i, j)):
+        if not all(_is_int(x) for x in (i, j)):
             raise ParseError(f"{where}: indices must be integers")
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexOutOfRange(f"{where}: entry [{i}, {j}] outside dim {dim}")
@@ -243,7 +248,7 @@ def _parse_pairs(raw, dim: int, where: str):
 
 
 def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
-    if not isinstance(raw, dict) or "dim" not in raw or not isinstance(raw["dim"], int):
+    if not isinstance(raw, dict) or "dim" not in raw or not _is_int(raw["dim"]):
         raise ParseError(f"{where}: expected an object with an integer 'dim'")
     dim = raw["dim"]
     out: dict = {"dim": dim}
@@ -264,7 +269,7 @@ def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
 def model_from_dict(doc: dict, name_hint: str = "model") -> ModelFile:
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
-    if "dim" not in doc or not isinstance(doc["dim"], int) or doc["dim"] <= 0:
+    if "dim" not in doc or not _is_int(doc["dim"]) or doc["dim"] <= 0:
         raise ParseError("field 'dim': expected a positive integer")
     dim = doc["dim"]
     model = ModelFile(name=doc.get("name", name_hint), dim=dim)

@@ -44,6 +44,20 @@ def test_bad_scalar(tmp_path):
         models.load(str(path))
 
 
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "dim": true, "mul": [[0, 0, 0, "1"]]}',
+    '{"name": "x", "dim": 2, "mul": [[0, 0, true, "1"]]}',
+    '{"name": "x", "dim": 2, "r": [[false, 0, "1"]]}',
+])
+def test_boolean_dim_or_index_rejected(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        models.load(str(path))
+    assert run(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_json_names_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 2,,}')
@@ -192,6 +206,26 @@ def test_precondition_error_exits_2(workdir, capsys):
     assert run(["rota-baxter", dn, "--r", qt, "--sign", "-",
                 "-o", str(tmp / "x.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb, host, block, dim", [
+    ("ybe", "kz2", "r", 3),
+    ("delta-r", "kz2", "r", 3),
+    ("rota-baxter", "kz2", "r", 3),
+    ("hopf-module", "kz2", "r", 3),
+    ("co-ybe", "trunc-poly-2", "sigma", 2),
+    ("co-ybe", "trunc-poly-2", "sigma", 4),
+    ("mu-sigma", "trunc-poly-2", "sigma", 4),
+])
+def test_element_of_other_dim_exits_2(workdir, capsys, verb, host, block, dim):
+    tmp, put = workdir
+    elem = tmp / "elem.json"
+    elem.write_text(json.dumps({"name": "e", "dim": dim, "lambda": "1",
+                                block: [[0, 0, "1"]]}))
+    extra = ["--from", "qt"] if verb == "hopf-module" else []
+    assert run([verb, put(host), *extra, f"--{block}", str(elem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"has dim {dim}" in err
 
 
 def test_installed_entry_point(tmp_path):
