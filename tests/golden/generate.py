@@ -21,20 +21,22 @@ import shutil
 import sys
 from fractions import Fraction
 
+from bihom import catalog, models
+from bihom.cli import run
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 INPUTS = os.path.join(HERE, "inputs")
 CASES = os.path.join(HERE, "cases")
-
-from bihom import catalog, models  # noqa: E402
-from bihom.cli import run  # noqa: E402
 
 ALGEBRA_HOSTS = ("dual-numbers", "kz2", "kz2-yau", "trivial-left", "trivial-right",
                  "trunc-poly-2", "trunc-poly-3")
 BIALGEBRA_HOSTS = ALGEBRA_HOSTS[1:]
 DIMS = {"dual-numbers": 2, "kz2": 2, "kz2-yau": 2, "trivial-left": 2,
         "trivial-right": 2, "trunc-poly-2": 3, "trunc-poly-3": 4}
-WEIGHTS = {"dual-numbers": "1", "kz2": "1", "kz2-yau": "1", "trivial-left": "1",
-           "trivial-right": "1", "trunc-poly-2": "-1", "trunc-poly-3": "-1"}
+# per dimension, an r solving the residual at the file's weight, and one
+# solving it at minus that weight
+R_ONE = {2: "qt-one.json", 3: "r3-one.json", 4: "r4-one.json"}
+R_ANTI = {2: "r2-anti.json", 3: "r3-anti.json", 4: "r4-anti.json"}
 
 
 def _write(name: str, doc: dict) -> str:
@@ -148,21 +150,19 @@ def make_inputs() -> dict:
     return {"r": r_files, "sigma": sigma_files, "maps": maps_files}
 
 
-def make_derived(files: dict) -> dict:
+def make_derived() -> dict:
     """Hosts built by the CLI at this commit from the hand-written inputs."""
-    one = {2: "qt-one.json", 3: "r3-one.json", 4: "r4-one.json"}
-    anti = {2: "r2-anti.json", 3: "r3-anti.json", 4: "r4-anti.json"}
     induced, rota = [], []
     for host in ALGEBRA_HOSTS:
         d = DIMS[host]
         induced.append(_derive(f"{host}-dr.json", ["delta-r", f"@in/{host}.json",
-                                                   "--r", f"@in/{one[d]}"]))
+                                                   "--r", f"@in/{R_ONE[d]}"]))
         induced.append(_derive(f"{host}-dr-anti.json", ["delta-r", f"@in/{host}.json",
-                                                        "--r", f"@in/{anti[d]}", "--anti"]))
+                                                        "--r", f"@in/{R_ANTI[d]}", "--anti"]))
         rota.append(_derive(f"{host}-rb-plus.json", ["rota-baxter", f"@in/{host}.json",
-                                                     "--r", f"@in/{one[d]}"]))
+                                                     "--r", f"@in/{R_ONE[d]}"]))
         rota.append(_derive(f"{host}-rb-minus.json", ["rota-baxter", f"@in/{host}.json",
-                                                      "--r", f"@in/{anti[d]}", "--sign", "-"]))
+                                                      "--r", f"@in/{R_ANTI[d]}", "--sign", "-"]))
     induced.append(_derive("kz2-dr-w2.json", ["delta-r", "@in/kz2.json", "--r", "@in/r2-w2.json"]))
     w0 = _derive("dual-numbers-dr-w0.json", ["delta-r", "@in/dual-numbers.json",
                                              "--r", "@in/r2-w0.json"])
@@ -251,14 +251,12 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
     for host in ("dual-numbers-dr-w0.json", "dual-numbers-dr-w0-dual.json", "kz2.json"):
         for source in ("comodule-w0", "module-w0"):
             add(["hopf-module", f"@in/{host}", "--from", source, "-o", "@out"])
-    qt_runs = [(f"{h}-dr.json", "qt", "one") for h in ALGEBRA_HOSTS] \
-        + [(f"{h}-dr-anti.json", "anti-qt", "anti") for h in ALGEBRA_HOSTS] \
-        + [("kz2-dr.json", "anti-qt", "anti"), ("trunc-poly-2-dr-anti.json", "qt", "one")]
-    r_of = {"one": {2: "qt-one.json", 3: "r3-one.json", 4: "r4-one.json"},
-            "anti": {2: "r2-anti.json", 3: "r3-anti.json", 4: "r4-anti.json"}}
-    for host, source, kind in qt_runs:
+    qt_runs = [(f"{h}-dr.json", "qt", R_ONE) for h in ALGEBRA_HOSTS] \
+        + [(f"{h}-dr-anti.json", "anti-qt", R_ANTI) for h in ALGEBRA_HOSTS] \
+        + [("kz2-dr.json", "anti-qt", R_ANTI), ("trunc-poly-2-dr-anti.json", "qt", R_ONE)]
+    for host, source, r_of in qt_runs:
         add(["hopf-module", f"@in/{host}", "--from", source,
-             "--r", f"@in/{r_of[kind][_dim_of(host)]}", "-o", "@out"])
+             "--r", f"@in/{r_of[_dim_of(host)]}", "-o", "@out"])
     for host, r in (("kz2-dr-w2.json", "r2-w2.json"), ("dual-numbers-dr-w0.json", "r2-w0.json")):
         add(["hopf-module", f"@in/{host}", "--from", "qt", "--r", f"@in/{r}", "-o", "@out"])
     for host in derived["sigma_induced"]:
@@ -289,7 +287,7 @@ def main():
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d)
     files = make_inputs()
-    derived = make_derived(files)
+    derived = make_derived()
     by_verb: dict[str, dict] = {}
     for case_id, argv in make_cases(files, derived):
         by_verb.setdefault(argv[0], {})[case_id] = record(case_id, argv)
