@@ -37,6 +37,8 @@ DIMS = {"dual-numbers": 2, "kz2": 2, "kz2-yau": 2, "trivial-left": 2,
 # solving it at minus that weight
 R_ONE = {2: "qt-one.json", 3: "r3-one.json", 4: "r4-one.json"}
 R_ANTI = {2: "r2-anti.json", 3: "r3-anti.json", 4: "r4-anti.json"}
+# a dimension-8 host for the verbs whose maps grow fastest with the dimension
+LARGE, LARGE_DIM = "trunc-poly-7", 8
 
 
 def _write(name: str, doc: dict) -> str:
@@ -76,6 +78,8 @@ def make_inputs() -> dict:
     for host in ALGEBRA_HOSTS + ("qt-one",):
         with open(os.path.join(INPUTS, f"{host}.json"), "w", encoding="utf-8") as fh:
             fh.write(models.dumps(catalog.entry(host), name=host))
+    with open(os.path.join(INPUTS, f"{LARGE}.json"), "w", encoding="utf-8") as fh:
+        fh.write(models.dumps(catalog._trunc_poly(LARGE_DIM - 1), name=LARGE))
     r_files = {
         2: [
             "qt-one.json",
@@ -98,6 +102,11 @@ def make_inputs() -> dict:
             _write("r4-gen.json", _pairs(4, "-1", [(0, 0, "2"), (0, 3, "-1"), (1, 2, "1"),
                                                    (3, 1, "1/2"), (2, 2, "-3")], name="r4-gen")),
         ],
+        8: [
+            _write("r8-one.json", _pairs(8, "-1", [(0, 0, "-1")], name="r8-one")),
+            _write("r8-gen.json", _pairs(8, "-1", [(0, 0, "2"), (0, 7, "-1"), (1, 2, "1"),
+                                                   (7, 1, "1/2"), (2, 2, "-3")], name="r8-gen")),
+        ],
     }
     sigma_files = {
         2: [
@@ -117,6 +126,11 @@ def make_inputs() -> dict:
             _write("s4-anti.json", _pairs(4, "-1", [(0, 0, "1")], "sigma", "s4-anti")),
             _write("s4-gen.json", _pairs(4, "-1", [(0, 0, "1"), (1, 3, "2"), (2, 1, "-1"),
                                                    (3, 3, "1/2")], "sigma", "s4-gen")),
+        ],
+        8: [
+            _write("s8-one.json", _pairs(8, "-1", [(0, 0, "-1")], "sigma", "s8-one")),
+            _write("s8-gen.json", _pairs(8, "-1", [(0, 0, "1"), (1, 7, "2"), (2, 1, "-1"),
+                                                   (5, 3, "1/3"), (7, 7, "1/2")], "sigma", "s8-gen")),
         ],
     }
     theta = _diag(["1", "-1"])
@@ -181,7 +195,7 @@ def make_derived() -> dict:
                                               "--sigma", "@in/s2-anti.json", "--anti"]),
     ]
     aug, coaug = [], []
-    for host in ("kz2", "kz2-yau", "trunc-poly-2", "trivial-right"):
+    for host in ("kz2", "kz2-yau", "trunc-poly-2", "trivial-right", LARGE):
         with open(os.path.join(INPUTS, f"{host}.json"), encoding="utf-8") as fh:
             doc = json.load(fh)
         d = doc["dim"]
@@ -191,8 +205,19 @@ def make_derived() -> dict:
         coaug.append(_write(f"{host}-coaug.json",
                             dict(doc, name=f"{host}-coaug",
                                  zeta=[("1" if lam == "-1" else "-1")] + ["1/2"] * (d - 1))))
+    large_dr = _derive(f"{LARGE}-dr.json", ["delta-r", f"@in/{LARGE}.json",
+                                             "--r", "@in/r8-one.json"])
+    large = {
+        "dr": large_dr,
+        "ms": _derive(f"{LARGE}-ms.json", ["mu-sigma", f"@in/{LARGE}.json",
+                                           "--sigma", "@in/s8-one.json"]),
+        "prelie": _derive(f"{LARGE}-prelie.json", ["prelie", f"@in/{large_dr}"]),
+        "prelie_co": _derive(f"{LARGE}-prelie-co.json", ["prelie-coalgebra", f"@in/{large_dr}"]),
+    }
     return {"induced": induced, "rota": rota, "duals": duals,
-            "sigma_induced": sigma_induced, "aug": aug, "coaug": coaug}
+            # the dimension-8 copies are crossed with trunc-poly-2 only
+            "sigma_induced": sigma_induced, "aug": aug[:-1], "coaug": coaug[:-1],
+            "large": large}
 
 
 def _dim_of(name: str) -> int:
@@ -264,6 +289,21 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
             for extra in ([], ["--anti"]):
                 add(["hopf-module", f"@in/{host}", "--from", "coqt", "--sigma", f"@in/{s}",
                      *extra, "-o", "@out"])
+    large, host = derived["large"], f"@in/{LARGE}.json"
+    for s in files["sigma"][LARGE_DIM]:
+        for extra in ([], ["--anti"]):
+            add(["co-ybe", host, "--sigma", f"@in/{s}", "--json", *extra])
+            add(["mu-sigma", host, "--sigma", f"@in/{s}", *extra])
+    add(["delta-r", host, "--r", "@in/r8-gen.json"])
+    add(["tensor", f"@in/{LARGE}-aug.json", "@in/trunc-poly-2-aug.json"])
+    add(["tensor", f"@in/{LARGE}-coaug.json", "@in/trunc-poly-2-coaug.json", "--co"])
+    for extra in ([], ["--noninv"]):
+        add(["prelie", f"@in/{large['dr']}", *extra])
+        add(["prelie-coalgebra", f"@in/{large['dr']}", *extra])
+    add(["verify", f"@in/{large['prelie']}", "--kind", "prelie", "--json"])
+    add(["verify", f"@in/{large['prelie_co']}", "--kind", "prelie-coalgebra", "--json"])
+    add(["hopf-module", f"@in/{large['ms']}", "--from", "coqt", "--sigma", "@in/s8-one.json",
+         "-o", "@out"])
     ids = [c[0] for c in cases]
     assert len(ids) == len(set(ids)), "case ids collide"
     return cases
