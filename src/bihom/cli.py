@@ -61,16 +61,12 @@ def _weight_of(model: ModelFile, override: str | None, fallback: ModelFile | Non
     return Q(0)
 
 
-def _load(path: str) -> ModelFile:
-    return models.load(path)
-
-
 # ---------------------------------------------------------------------------
 # verbs
 
 
 def _cmd_verify(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     kind = args.kind if args.kind != "auto" else model.kind_auto()
     structure = model.to_structure(kind)
     if kind == "dendriform":
@@ -82,9 +78,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_twist(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     b = model.as_bialgebra()
-    maps = _load(args.maps)
+    maps = models.load(args.maps)
     twisted = constructions.yau_twist(b, maps.map("alpha"), maps.map("beta"),
                                       maps.map("psi"), maps.map("omega"))
     _emit(twisted, args.output, f"{model.name}-twisted")
@@ -92,9 +88,9 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_delta_r(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     a = model.as_algebra()
-    rfile = _load(args.r)
+    rfile = models.load(args.r)
     weight = _weight_of(rfile, args.weight, model)
     b = constructions.delta_r(a, model.map("psi"), model.map("omega"),
                               rfile.r, weight, anti=args.anti)
@@ -103,9 +99,9 @@ def _cmd_delta_r(args) -> int:
 
 
 def _cmd_mu_sigma(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     c = model.as_coalgebra()
-    sfile = _load(args.sigma)
+    sfile = models.load(args.sigma)
     weight = _weight_of(sfile, args.weight, model)
     b = constructions.mu_sigma(c, model.map("alpha"), model.map("beta"),
                                sfile.sigma, weight, anti=args.anti)
@@ -114,9 +110,9 @@ def _cmd_mu_sigma(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     a = model.as_algebra()
-    rfile = _load(args.r)
+    rfile = models.load(args.r)
     weight = _weight_of(rfile, args.weight, model)
     report = ybe.abhybe_residual(a, model.map("psi"), model.map("omega"),
                                  rfile.r, weight, anti=args.anti)
@@ -132,9 +128,9 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_co_ybe(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     c = model.as_coalgebra()
-    sfile = _load(args.sigma)
+    sfile = models.load(args.sigma)
     weight = _weight_of(sfile, args.weight, model)
     report = ybe.coabhybe_residual(c, model.map("alpha"), model.map("beta"),
                                    sfile.sigma, weight, anti=args.anti)
@@ -149,15 +145,15 @@ def _cmd_co_ybe(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     dual = constructions.dualize(model.as_bialgebra())
     _emit(dual, args.output, f"{model.name}-dual")
     return 0
 
 
 def _cmd_tensor(args) -> int:
-    x = _load(args.a)
-    y = _load(args.b)
+    x = models.load(args.a)
+    y = models.load(args.b)
     if args.co:
         _, product = constructions.coaug_tensor_product(x.as_coaugmented(), y.as_coaugmented())
     else:
@@ -167,7 +163,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_prelie(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     b = model.as_bialgebra()
     p = constructions.prelie_noninv(b) if args.noninv else constructions.prelie_from_bialgebra(b)
     _emit(p, args.output, f"{model.name}-prelie")
@@ -175,16 +171,16 @@ def _cmd_prelie(args) -> int:
 
 
 def _cmd_prelie_coalgebra(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     p = constructions.prelie_coalgebra(model.as_bialgebra(), noninv=args.noninv)
     _emit(p, args.output, f"{model.name}-prelie-coalgebra")
     return 0
 
 
 def _cmd_rota_baxter(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     a = model.as_algebra()
-    rfile = _load(args.r)
+    rfile = models.load(args.r)
     weight = _weight_of(rfile, args.weight, model)
     rb = constructions.rota_baxter_from_r(a, model.map("psi"), model.map("omega"),
                                           rfile.r, weight, sign=args.sign)
@@ -193,7 +189,7 @@ def _cmd_rota_baxter(args) -> int:
 
 
 def _cmd_dendriform(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     rb = model.as_rota_baxter()
     d = constructions.dendriform_from_rb(rb, variant=args.variant)
     _emit(d, args.output, f"{model.name}-dendriform")
@@ -207,7 +203,7 @@ def _pick_map(block: dict | None, key: str, default: Endo) -> Endo:
 
 
 def _cmd_hopf_module(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     b = model.as_bialgebra()
     variant = args.source.replace("-", "_")
     if variant in ("plain", "unital", "counital"):
@@ -235,7 +231,7 @@ def _cmd_hopf_module(args) -> int:
     elif variant in ("qt", "anti_qt"):
         if not args.r:
             raise BihomError("--r is required for the quasitriangular variants")
-        rfile = _load(args.r)
+        rfile = models.load(args.r)
         module = (model._module_part() if model.module is not None
                   else regular_left_module(b.algebra))
         regular = module.dim == b.dim
@@ -248,7 +244,7 @@ def _cmd_hopf_module(args) -> int:
     elif variant == "coqt":
         if not args.sigma:
             raise BihomError("--sigma is required for the coquasitriangular variant")
-        sfile = _load(args.sigma)
+        sfile = models.load(args.sigma)
         comodule = (model._comodule_part() if model.comodule is not None
                     else regular_left_comodule(b.coalgebra))
         regular = comodule.dim == b.dim
@@ -268,7 +264,7 @@ def _cmd_hopf_module(args) -> int:
 
 
 def _cmd_search_r(args) -> int:
-    model = _load(args.file)
+    model = models.load(args.file)
     a = model.as_algebra()
     weight = _weight_of(model, args.weight)
     coeffs = [scalar_parse(tok) for tok in args.coeffs.split(",") if tok.strip()]

@@ -24,8 +24,7 @@ from .exactcore import (
     BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
     biform_invariant_under, biform_map, coaction_map, coaction_table, comul_map,
     counit_map, elem2_flat, elem2_invariant_under, elem_map, endo_inverse, endo_map,
-    endo_tensor, first_noncommuting, first_nonmultiplicative, leg_permutation, mul_map,
-    unit_map,
+    endo_tensor, first_noncommuting, first_nonmultiplicative, mul_map, unit_map,
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
@@ -58,10 +57,9 @@ def _check_unital_twist_compat(a: Algebra, psi: Endo, omega: Endo):
     """The shared hypotheses for coproducts on a unital algebra:
     the four-map commutations, psi/omega multiplicative, both fixing 1."""
     _require_square_maps(a.dim, psi, omega)
-    for f, g, tag in ((a.alpha, psi, "(12.1)"), (a.alpha, omega, "(12.1)"),
-                      (a.beta, psi, "(12.1)"), (a.beta, omega, "(12.1)")):
+    for f, g in ((a.alpha, psi), (a.alpha, omega), (a.beta, psi), (a.beta, omega)):
         if not f.commutes_with(g):
-            raise PreconditionFailed(tag)
+            raise PreconditionFailed("(12.1)")
     for f in (psi, omega):
         if first_nonmultiplicative(f, a.mul) is not None:
             raise PreconditionFailed("(12.3)")
@@ -161,15 +159,11 @@ def trivial_product(c: Coalgebra, alpha: Endo, beta: Endo, weight, side: str = "
 def dualize(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra on the dual basis (an involution)."""
     n = b.dim
-    a_, c_ = b.algebra, b.coalgebra
+    c_ = b.coalgebra
     mul = _as_mul(comul_map(c_.comul).transpose())
-    comul = _as_comul(mul_map(a_.mul).transpose())
     unit = Vec(n, c_.counit.coeffs) if c_.counit is not None else None
-    counit = Covec(n, a_.unit.coeffs) if a_.unit is not None else None
-    return Bialgebra(
-        Algebra(n, mul, c_.omega.transpose(), c_.psi.transpose(), unit),
-        Coalgebra(n, comul, a_.beta.transpose(), a_.alpha.transpose(), counit),
-        b.weight)
+    return Bialgebra(Algebra(n, mul, c_.omega.transpose(), c_.psi.transpose(), unit),
+                     dual_coalgebra(b.algebra), b.weight)
 
 
 def dual_coalgebra(a: Algebra) -> Coalgebra:
@@ -201,8 +195,7 @@ def aug_tensor_product(x: Augmented, y: Augmented) -> tuple[Algebra, Augmented]:
     left = endo_map(a_alg.alpha).tensor(chi_a)     # a (x) a' -> chi_A(a') alpha_A(a)
     right = chi_b.tensor(endo_map(b_alg.beta))     # b (x) b' -> chi_B(b) beta_B(b')
     mul = _as_mul((mul_map(a_alg.mul).tensor(right) + left.tensor(mul_map(b_alg.mul))
-                   + left.tensor(right).scale(w))
-                  @ leg_permutation((na, nb, na, nb), (0, 2, 1, 3)))
+                   + left.tensor(right).scale(w)).permute_cols((na, nb, na, nb), (0, 2, 1, 3)))
     alpha = endo_tensor(a_alg.alpha, b_alg.alpha)
     beta = endo_tensor(a_alg.beta, b_alg.beta)
     chi = Covec(dim, chi_a.tensor(chi_b).a[0])
@@ -221,9 +214,8 @@ def coaug_tensor_product(x: Coaugmented, y: Coaugmented) -> tuple[Coalgebra, Coa
     zeta_c, zeta_d = unit_map(x.zeta), unit_map(y.zeta)
     left = endo_map(c_co.omega).tensor(zeta_c)     # c -> omega_C(c) (x) 1_C
     right = zeta_d.tensor(endo_map(d_co.psi))      # d -> 1_D (x) psi_D(d)
-    comul = _as_comul(leg_permutation((nc, nc, nd, nd), (0, 2, 1, 3))
-                      @ (comul_map(c_co.comul).tensor(right) + left.tensor(comul_map(d_co.comul))
-                         + left.tensor(right).scale(w)))
+    comul = _as_comul((comul_map(c_co.comul).tensor(right) + left.tensor(comul_map(d_co.comul))
+                       + left.tensor(right).scale(w)).permute_rows((nc, nc, nd, nd), (0, 2, 1, 3)))
     psi = endo_tensor(c_co.psi, d_co.psi)
     omega = endo_tensor(c_co.omega, d_co.omega)
     zeta = Vec(dim, zeta_c.tensor(zeta_d).column(0))
@@ -418,7 +410,7 @@ def hopf_module_free(b: Bialgebra, v_dim: int, alpha_v: Endo, beta_v: Endo,
     if variant == "counital":
         act = act + (endo_map(a_.alpha).tensor(counit_map(c_.counit))
                      .tensor(endo_map(beta_v)).scale(b.weight))
-    if variant == "module_w0":
+    if variant == "module_w0" and any(c_.counit.coeffs):  # a zero counit adds nothing
         act = act + (endo_map(a_.alpha @ endo_inverse(c_.omega))
                      .tensor(action_map(extra.action, na, nv))
                      @ de.tensor(counit_map(c_.counit)).tensor(ident_v))
@@ -555,7 +547,7 @@ def rota_baxter_from_r(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     mu = mul_map(a.mul)
     # x -> r1 (x) inner(x) (x) r2 -> lead(r1) . (inner(x) . tail(r2))
     op = (mu @ lead.tensor(mu @ LinMap.identity(n).tensor(tail))
-          @ leg_permutation((n, n, n), (0, 2, 1)) @ elem_map(elem2_flat(r)).tensor(inner))
+          @ elem_map(elem2_flat(r)).tensor(inner).permute_rows((n, n, n), (0, 2, 1)))
     if sign == "+":
         op = op.scale(-1)
     return RotaBaxter(a, Endo(n, op.a), weight)
@@ -590,8 +582,10 @@ def _prelie_star(b: Bialgebra, lead: Endo, mid: Endo, tail: Endo) -> Mul:
     n = b.dim
     mu = mul_map(b.algebra.mul)
     first = mu @ endo_map(lead).tensor(endo_map(mid))
-    return _as_mul(mu @ first.tensor(endo_map(tail)) @ leg_permutation((n, n, n), (1, 0, 2))
-                   @ LinMap.identity(n).tensor(comul_map(b.coalgebra.comul)))
+    # legs (x, y_1, y_2) -> A; Delta on the last leg by contracting the
+    # reshaped (out, x) x (y_1, y_2) map with Delta, i.e. h @ (id (x) Delta)
+    h = (mu @ first.tensor(endo_map(tail))).permute_cols((n, n, n), (1, 0, 2))
+    return _as_mul((h.reshape(n * n, n * n) @ comul_map(b.coalgebra.comul)).reshape(n, n * n))
 
 
 def prelie_from_bialgebra(b: Bialgebra) -> PreLie:
@@ -645,7 +639,9 @@ def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
         omega_out = c_.omega
     de = comul_map(c_.comul)
     right = mul_map(a_.mul) @ endo_map(lead_map).tensor(endo_map(tail_map))
-    # c -> c_11 (x) c_12 (x) c_2 -> first(c_12) (x) lead(c_11) . tail(c_2)
-    delta = (endo_map(first_map).tensor(right) @ leg_permutation((n, n, n), (1, 0, 2))
-             @ de.tensor(LinMap.identity(n)) @ de)
+    # c -> c_11 (x) c_12 (x) c_2 is (Delta (x) id) Delta: Delta composed with
+    # Delta's own table read as the n x n^2 matrix [c_1][(c_2, c)]
+    twice = (de @ de.reshape(n, n * n)).reshape(n ** 3, n)
+    # -> first(c_12) (x) lead(c_11) . tail(c_2)
+    delta = endo_map(first_map).tensor(right) @ twice.permute_rows((n, n, n), (1, 0, 2))
     return PreLieCoalgebra(n, _as_comul(delta), psi_out, omega_out)

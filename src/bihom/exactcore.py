@@ -22,7 +22,6 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -568,6 +567,28 @@ class LinMap:
         return LinMap(self.cols, self.rows, tuple(
             tuple(row[c] for row in self.a) for c in range(self.cols)))
 
+    def reshape(self, rows: int, cols: int) -> "LinMap":
+        """The same cells, read row-major, as a rows x cols map; turns a map
+        into a functional on its (target, source) legs and back."""
+        if rows * cols != self.rows * self.cols:
+            raise DimensionMismatch(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        flat = [x for row in self.a for x in row]
+        return LinMap(rows, cols, tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
+
+    def permute_cols(self, dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
+        """self after the leg reordering perm of its source (legs dims, see
+        _leg_targets), by reindexing the columns."""
+        targets = _leg_targets(dims, perm, self.cols)
+        return LinMap(self.rows, self.cols, tuple(tuple(row[t] for t in targets) for row in self.a))
+
+    def permute_rows(self, dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
+        """The leg reordering perm of the target of self (legs dims) after
+        self, by reindexing the rows."""
+        rows = [()] * self.rows
+        for src, dst in enumerate(_leg_targets(dims, perm, self.rows)):
+            rows[dst] = self.a[src]
+        return LinMap(self.rows, self.cols, tuple(rows))
+
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding maps of different shape")
@@ -709,21 +730,20 @@ def flat_elem3(coeffs: Sequence[Q], dim: int) -> Elem3:
                                 for j in range(n)) for i in range(n)))
 
 
-def leg_permutation(dims: Sequence[int], perm: Sequence[int]) -> LinMap:
-    """The map that reorders tensor legs: target leg t is source leg perm[t].
-
-    dims are the source leg dimensions; perm (1, 0, 2) on (n, n, n) sends
-    e_a (x) e_b (x) e_c to e_b (x) e_a (x) e_c.
-    """
+def _leg_targets(dims: Sequence[int], perm: Sequence[int], size: int) -> list[int]:
+    """Where each flat index over legs dims (spanning size indices) lands
+    when target leg t is source leg perm[t]: (1, 0, 2) on (n, n, n) sends
+    e_a (x) e_b (x) e_c to e_b (x) e_a (x) e_c."""
     out_dims = [dims[p] for p in perm]
-    size = math.prod(dims)
-    rows = [[ZERO] * size for _ in range(size)]
-    for src, idx in enumerate(itertools.product(*(range(d) for d in dims))):
+    targets = []
+    for idx in itertools.product(*(range(d) for d in dims)):
         dst = 0
         for d, p in zip(out_dims, perm):
             dst = dst * d + idx[p]
-        rows[dst][src] = ONE
-    return LinMap(size, size, tuple(tuple(r) for r in rows))
+        targets.append(dst)
+    if len(targets) != size:
+        raise DimensionMismatch(f"legs {tuple(dims)} span {len(targets)} indices, not {size}")
+    return targets
 
 
 def first_nonmultiplicative(f: Endo, m: Mul) -> tuple[int, int] | None:

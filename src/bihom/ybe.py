@@ -25,7 +25,7 @@ from .exactcore import (
     ELEM3_KINDS as ELEM3_ALL, BiForm, Elem2, Elem3, Endo, LinMap, Q,
     biform_invariant_under, biform_map, comul_map, counit_map, elem2_flat,
     elem2_invariant_under, elem3_build, elem3_flat, elem_map, endo_inverse,
-    endo_is_invertible, endo_map, flat_elem3, leg_permutation,
+    endo_is_invertible, endo_map, flat_elem3,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
@@ -140,13 +140,20 @@ def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weig
     sig = biform_map(sigma)
     eps = counit_map(c.counit)
 
-    # each term is a functional on basis triples (i, j, k)
-    term1 = (sig @ al.tensor(be @ om)).tensor(sig @ i1.tensor(ps)) \
-        @ leg_permutation((n,) * 4, (0, 3, 1, 2)) @ de.tensor(i1).tensor(i1)
-    term2 = (sig @ om.tensor(i1)).tensor(sig @ i1.tensor(ps)) @ i1.tensor(de).tensor(i1)
-    term3 = (sig @ om.tensor(i1)).tensor(sig @ (al @ ps).tensor(be)) \
-        @ leg_permutation((n,) * 4, (1, 2, 0, 3)) @ i1.tensor(i1).tensor(de)
-    s_a_b_eps = (sig @ al.tensor(be)).tensor(eps) @ leg_permutation((n,) * 3, (0, 2, 1))
+    # each term is a functional on basis triples (i, j, k): two sigma values,
+    # each an n x n matrix pair(f, g), summed against Delta of the third
+    # index. contract reads the row of left, the row of right and the
+    # argument of Delta as the indices perm[0], perm[1], perm[2] of (i, j, k).
+    def pair(f: LinMap, g: LinMap) -> LinMap:      # [u][v] = sigma(f(u), g(v))
+        return f.transpose() @ sig.reshape(n, n) @ g
+
+    def contract(left: LinMap, right: LinMap, perm) -> LinMap:
+        return (left.tensor(right) @ de).reshape(1, n ** 3).permute_cols((n,) * 3, perm)
+
+    term1 = contract(pair(al, be @ om).transpose(), pair(i1, ps).transpose(), (2, 1, 0))
+    term2 = contract(pair(om, i1), pair(i1, ps).transpose(), (0, 2, 1))
+    term3 = contract(pair(om, i1), pair(al @ ps, be), (1, 0, 2))
+    s_a_b_eps = (sig @ al.tensor(be)).tensor(eps).permute_cols((n,) * 3, (0, 2, 1))
     value = term1 - term2 + term3 - s_a_b_eps.scale(sign)
     residual = flat_elem3(value.a[0], n)
 

@@ -7,7 +7,7 @@ from bihom.errors import (
     NotInvariant, NotMorphism, NotYBESolution, PreconditionFailed,
     SingularMap, WeightMismatch,
 )
-from bihom.exactcore import BiForm, Comul, Elem2, Endo, Mul, Vec, comul_apply
+from bihom.exactcore import BiForm, Comul, Covec, Elem2, Endo, Mul, Vec, comul_apply
 from bihom.structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented,
     regular_left_comodule, regular_left_module,
@@ -416,6 +416,22 @@ def test_hopf_module_free_module_w0(dual_numbers):
     n = regular_left_module(dual.algebra)
     h = C.hopf_module_free(dual, 2, n.alpha_m, n.beta_m, ID2, ID2,
                            "module_w0", extra=n)
+    assert axioms.check_hopf_module(h).passed
+
+
+def test_hopf_module_free_module_w0_zero_counit(dual_numbers):
+    # a zero counit forces psi = omega = 0 (so no unit, which they would
+    # have to fix); the eps(b) term vanishes, so no inverse of omega is
+    # taken and the action is the plain one
+    zero = Endo(2, ((0, 0), (0, 0)))
+    zero_comul = Comul(2, (((0, 0), (0, 0)), ((0, 0), (0, 0))))
+    algebra = Algebra(2, dual_numbers.mul, ID2, ID2, unit=None)
+    b = Bialgebra(algebra, Coalgebra(2, zero_comul, zero, zero, Covec(2, (0, 0))), 0)
+    assert axioms.check_infbh_bialgebra(b).passed
+    n = regular_left_module(algebra)
+    h = C.hopf_module_free(b, 2, n.alpha_m, n.beta_m, zero, zero, "module_w0", extra=n)
+    plain = C.hopf_module_free(b, 2, n.alpha_m, n.beta_m, zero, zero, "plain")
+    assert h == plain
     assert axioms.check_hopf_module(h).passed
 
 

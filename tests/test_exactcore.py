@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bihom.errors import BadScalar, MissingUnit, SingularMap
+from bihom.errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
 from bihom.exactcore import (
     Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
     comul_apply, mul_apply, render_elem2, render_vec, scalar_parse,
@@ -185,6 +185,59 @@ def test_linmap_tensor_compose_interchange(a, b, c, d):
     h = LinMap(2, 2, ((1, 0), (1, 1)))
     k = LinMap(2, 2, ((0, 1), (1, 0)))
     assert f.tensor(g) @ h.tensor(k) == (f @ h).tensor(g @ k)
+
+
+def _leg_permutation_matrix(dims, perm):
+    """The reference permutation matrix: target leg t is source leg perm[t]."""
+    import itertools
+    out_dims = [dims[p] for p in perm]
+    size = len(list(itertools.product(*(range(d) for d in dims))))
+    rows = [[0] * size for _ in range(size)]
+    for src, idx in enumerate(itertools.product(*(range(d) for d in dims))):
+        dst = 0
+        for d, p in zip(out_dims, perm):
+            dst = dst * d + idx[p]
+        rows[dst][src] = 1
+    return LinMap(size, size, tuple(tuple(r) for r in rows))
+
+
+@pytest.mark.parametrize("dims, perm", [((2, 3, 2), (2, 0, 1)), ((3, 2), (1, 0)),
+                                        ((2, 2, 3, 2), (0, 2, 1, 3)), ((3, 3, 3), (1, 0, 2))])
+def test_permute_matches_permutation_matrix(dims, perm):
+    size = 1
+    for d in dims:
+        size *= d
+    f = LinMap(2, size, tuple(tuple(Q(3 * r + c, 7) for c in range(size)) for r in range(2)))
+    g = f.transpose()
+    p = _leg_permutation_matrix(dims, perm)
+    assert f.permute_cols(dims, perm) == f @ p
+    assert g.permute_rows(dims, perm) == p @ g
+
+
+def test_permute_rows_moves_basis_legs():
+    # (1, 0, 2) sends e_a (x) e_b (x) e_c to e_b (x) e_a (x) e_c
+    n = 3
+    for a, b, c in ((0, 1, 2), (2, 0, 1), (1, 1, 0)):
+        flat = [0] * n ** 3
+        flat[(a * n + b) * n + c] = 1
+        moved = LinMap(n ** 3, 1, tuple((x,) for x in flat)).permute_rows((n, n, n), (1, 0, 2))
+        assert moved.column(0).index(1) == (b * n + a) * n + c
+
+
+def test_permute_and_reshape_check_shapes():
+    f = LinMap.zero(2, 6)
+    with pytest.raises(DimensionMismatch):
+        f.permute_cols((2, 2), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        f.permute_rows((2, 3), (1, 0))
+    with pytest.raises(DimensionMismatch):
+        f.reshape(5, 2)
+
+
+def test_reshape_reads_row_major():
+    f = LinMap(2, 3, ((1, 2, 3), (4, 5, 6)))
+    assert f.reshape(3, 2) == LinMap(3, 2, ((1, 2), (3, 4), (5, 6)))
+    assert f.reshape(1, 6).reshape(2, 3) == f
 
 
 def test_render_canonical():
