@@ -639,9 +639,10 @@ def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
         omega_out = c_.omega
     de = comul_map(c_.comul)
     right = mul_map(a_.mul) @ endo_map(lead_map).tensor(endo_map(tail_map))
-    # c -> c_11 (x) c_12 (x) c_2 is (Delta (x) id) Delta: Delta composed with
-    # Delta's own table read as the n x n^2 matrix [c_1][(c_2, c)]
-    twice = (de @ de.reshape(n, n * n)).reshape(n ** 3, n)
-    # -> first(c_12) (x) lead(c_11) . tail(c_2)
-    delta = endo_map(first_map).tensor(right) @ twice.permute_rows((n, n, n), (1, 0, 2))
+    # (Delta (x) id) Delta is Delta after Delta's table read as the n x n^2 matrix
+    # [c_1][(c_2, c)]; with its legs as (c_11, c_2, c_12), right acts on the first
+    # two and first on the last, then the legs swap: first(c_12) (x) right(c_11, c_2)
+    twice = (de @ de.reshape(n, n * n)).reshape(n ** 3, n).permute_rows((n, n, n), (0, 2, 1))
+    acted = (right @ twice.reshape(n * n, n * n)).reshape(n * n, n)
+    delta = (LinMap.identity(n).tensor(endo_map(first_map)) @ acted).permute_rows((n, n), (1, 0))
     return PreLieCoalgebra(n, _as_comul(delta), psi_out, omega_out)
