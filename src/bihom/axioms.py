@@ -71,15 +71,10 @@ def compare_maps(eq_id: str, lhs: LinMap, rhs: LinMap,
     """Columnwise comparison; one violation per differing source-basis tuple."""
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         raise ValueError("comparing maps of different shape")
-    out = []
-    for col in range(lhs.cols):
-        lcol, rcol = lhs.column(col), rhs.column(col)
-        if lcol != rcol:
-            out.append(Violation(
-                eq_id, _unflatten(col, in_dims),
-                render_flat(lcol, out_dims, out_legs),
-                render_flat(rcol, out_dims, out_legs)))
-    return out
+    return [Violation(eq_id, _unflatten(col, in_dims),
+                      render_flat(lhs.column(col), out_dims, out_legs),
+                      render_flat(rhs.column(col), out_dims, out_legs))
+            for col in lhs.differing_columns(rhs)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -478,8 +479,9 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
         beta_c = [col(beta, i) for i in range(n)]
         omega_v = [omega(basis[i]) for i in range(n)]
         psi_v = [psi(basis[i]) for i in range(n)]
-        alphapsi_c = [tuple((alpha @ psi).entries[u][i] for u in range(n)) for i in range(n)]
-        betaomega_c = [tuple((beta @ omega).entries[u][i] for u in range(n)) for i in range(n)]
+        alpha_psi, beta_omega = alpha @ psi, beta @ omega
+        alphapsi_c = [col(alpha_psi, i) for i in range(n)]
+        betaomega_c = [col(beta_omega, i) for i in range(n)]
         prod = [[mul_apply(m, basis[i], basis[j]).coeffs for j in range(n)] for i in range(n)]
         omega_prod = [[mul_apply(m, omega_v[i], basis[k]).coeffs for k in range(n)] for i in range(n)]
         psi_prod = [[mul_apply(m, basis[l], psi_v[j]).coeffs for j in range(n)] for l in range(n)]
@@ -504,120 +506,212 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
 
 
 # ---------------------------------------------------------------------------
-# dense linear maps between tensor powers (the checking backbone)
+# exact linear maps between tensor powers (the checking backbone)
+
+
+_NO_CELLS = ((), ())
+
+
+def _row_view(row: Sequence[Q]) -> tuple[tuple[int, ...], tuple[Q, ...]]:
+    """The nonzero cells of a dense row as (columns ascending, values)."""
+    cs = tuple(c for c, v in enumerate(row) if v)
+    return (cs, tuple(row[c] for c in cs)) if cs else _NO_CELLS
+
+
+def _dict_view(acc: dict) -> tuple[tuple[int, ...], tuple[Q, ...]]:
+    """The nonzero cells of a {column: value} accumulator, as _row_view."""
+    cs = tuple(sorted(c for c, v in acc.items() if v))
+    return (cs, tuple(acc[c] for c in cs)) if cs else _NO_CELLS
+
+
+def _gather(rows: int, cells: Iterable) -> list:
+    """Per-row views of nonzero (row, col, value) cells that come in
+    ascending column order within each row."""
+    out: list[tuple[list, list]] = [([], []) for _ in range(rows)]
+    for r, c, v in cells:
+        out[r][0].append(c)
+        out[r][1].append(v)
+    return [(tuple(cs), tuple(vs)) if cs else _NO_CELLS for cs, vs in out]
 
 
 @dataclass(frozen=True)
 class LinMap:
-    """A dense exact linear map; a[r][c] with cols indexing the source basis."""
+    """An exact linear map; a[r][c] with cols indexing the source basis.
+
+    ``a`` holds dense rows of Fractions. ``nonzeros`` is a per-row view of
+    the nonzero cells as (columns ascending, values); it is cached on the
+    instance outside the dataclass fields, so it takes no part in ==, hash
+    or repr. Every operation reads and writes nonzero cells only, and hands
+    its result the view it computed.
+    """
 
     rows: int
     cols: int
     a: tuple[tuple[Q, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(_coerce(row) for row in self.a)
-        object.__setattr__(self, "a", rows)
-        if len(rows) != self.rows or any(len(r) != self.cols for r in rows):
-            raise DimensionMismatch(f"LinMap shape {len(rows)} rows, expected {self.rows}x{self.cols}")
+        # Maps built by _exact arrive with exact cells and their view.
+        if "nonzeros" not in self.__dict__:
+            object.__setattr__(self, "a", tuple(_coerce(row) for row in self.a))
+        if len(self.a) != self.rows or any(len(r) != self.cols for r in self.a):
+            raise DimensionMismatch(f"LinMap shape {len(self.a)} rows, expected {self.rows}x{self.cols}")
+
+    @classmethod
+    def _exact(cls, rows: int, cols: int, a: tuple, nonzeros: tuple | None = None) -> "LinMap":
+        """The private constructor: dense rows whose cells are already
+        Fractions, and optionally their view; skips _coerce."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, a=a,
+                          nonzeros=tuple(map(_row_view, a)) if nonzeros is None else nonzeros)
+        m.__post_init__()
+        return m
+
+    @classmethod
+    def _from_nonzeros(cls, rows: int, cols: int, nonzeros: Sequence) -> "LinMap":
+        """The map with the given view; fills in the dense rows."""
+        blank = (ZERO,) * cols
+        a = []
+        for cs, vs in nonzeros:
+            if cs:
+                row = list(blank)
+                for c, v in zip(cs, vs):
+                    row[c] = v
+                a.append(tuple(row))
+            else:
+                a.append(blank)
+        return cls._exact(rows, cols, tuple(a), tuple(nonzeros))
+
+    @functools.cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[Q, ...]], ...]:
+        return tuple(map(_row_view, self.a))
 
     @staticmethod
     def identity(n: int) -> "LinMap":
-        return LinMap(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+        return LinMap._from_nonzeros(n, n, [((i,), (ONE,)) for i in range(n)])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "LinMap":
-        return LinMap(rows, cols, ((ZERO,) * cols,) * rows)
+        return LinMap._from_nonzeros(rows, cols, (_NO_CELLS,) * rows)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         if self.cols != other.rows:
             raise DimensionMismatch(f"compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        rows, mid, cols = self.rows, self.cols, other.cols
-        out = [[ZERO] * cols for _ in range(rows)]
-        for i in range(rows):
-            arow = self.a[i]
-            for k in range(mid):
-                s = arow[k]
-                if s == 0:
-                    continue
-                brow = other.a[k]
-                orow = out[i]
-                for j in range(cols):
-                    if brow[j] != 0:
-                        orow[j] += s * brow[j]
-        return LinMap(rows, cols, tuple(tuple(r) for r in out))
+        right = other.nonzeros
+        out = []
+        for cs, vs in self.nonzeros:
+            acc: dict[int, Q] = {}
+            for k, s in zip(cs, vs):
+                kcs, kvs = right[k]
+                for j, t in zip(kcs, kvs):
+                    x = acc.get(j)
+                    acc[j] = s * t if x is None else x + s * t
+            out.append(_dict_view(acc))
+        return LinMap._from_nonzeros(self.rows, other.cols, out)
 
     def tensor(self, other: "LinMap") -> "LinMap":
         """Kronecker product, row-major leg pairing."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[ZERO] * cols for _ in range(rows)]
-        for i in range(self.rows):
-            for k in range(self.cols):
-                s = self.a[i][k]
-                if s == 0:
-                    continue
-                for j in range(other.rows):
-                    for l in range(other.cols):
-                        if other.a[j][l] != 0:
-                            out[i * other.rows + j][k * other.cols + l] = s * other.a[j][l]
-        return LinMap(rows, cols, tuple(tuple(r) for r in out))
+        oc = other.cols
+        out = []
+        for cs, vs in self.nonzeros:
+            for ocs, ovs in other.nonzeros:
+                if cs and ocs:
+                    out.append((tuple(k * oc + l for k in cs for l in ocs),
+                                tuple(s * t for s in vs for t in ovs)))
+                else:
+                    out.append(_NO_CELLS)
+        return LinMap._from_nonzeros(self.rows * other.rows, self.cols * oc, out)
 
     def transpose(self) -> "LinMap":
-        return LinMap(self.cols, self.rows, tuple(
-            tuple(row[c] for row in self.a) for c in range(self.cols)))
+        return LinMap._from_nonzeros(self.cols, self.rows, _gather(self.cols, (
+            (c, r, v) for r, (cs, vs) in enumerate(self.nonzeros) for c, v in zip(cs, vs))))
 
     def reshape(self, rows: int, cols: int) -> "LinMap":
         """The same cells, read row-major, as a rows x cols map; turns a map
         into a functional on its (target, source) legs and back."""
         if rows * cols != self.rows * self.cols:
             raise DimensionMismatch(f"reshape {self.rows}x{self.cols} to {rows}x{cols}")
-        flat = [x for row in self.a for x in row]
-        return LinMap(rows, cols, tuple(tuple(flat[r * cols:(r + 1) * cols]) for r in range(rows)))
+        return LinMap._from_nonzeros(rows, cols, _gather(rows, (
+            (*divmod(r * self.cols + c, cols), v)
+            for r, (cs, vs) in enumerate(self.nonzeros) for c, v in zip(cs, vs))))
 
     def permute_cols(self, dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
         """self after the leg reordering perm of its source (legs dims, see
         _leg_targets), by reindexing the columns."""
-        targets = _leg_targets(dims, perm, self.cols)
-        return LinMap(self.rows, self.cols, tuple(tuple(row[t] for t in targets) for row in self.a))
+        moved = [0] * self.cols
+        for dst, src in enumerate(_leg_targets(dims, perm, self.cols)):
+            moved[src] = dst
+        out = []
+        for cs, vs in self.nonzeros:
+            cells = sorted(zip(map(moved.__getitem__, cs), vs))
+            out.append((tuple(c for c, _ in cells), tuple(v for _, v in cells)) if cells else _NO_CELLS)
+        return LinMap._from_nonzeros(self.rows, self.cols, out)
 
     def permute_rows(self, dims: Sequence[int], perm: Sequence[int]) -> "LinMap":
         """The leg reordering perm of the target of self (legs dims) after
         self, by reindexing the rows."""
-        rows = [()] * self.rows
+        order = [0] * self.rows
         for src, dst in enumerate(_leg_targets(dims, perm, self.rows)):
-            rows[dst] = self.a[src]
-        return LinMap(self.rows, self.cols, tuple(rows))
+            order[dst] = src
+        return LinMap._exact(self.rows, self.cols, tuple(self.a[s] for s in order),
+                             tuple(self.nonzeros[s] for s in order))
+
+    def _combine(self, other: "LinMap", negate: bool) -> "LinMap":
+        out = []
+        for (cs, vs), (ocs, ovs) in zip(self.nonzeros, other.nonzeros):
+            if not ocs:
+                out.append((cs, vs))
+                continue
+            acc = dict(zip(cs, vs))
+            for c, v in zip(ocs, ovs):
+                x = acc.get(c)
+                if negate:
+                    acc[c] = -v if x is None else x - v
+                else:
+                    acc[c] = v if x is None else x + v
+            out.append(_dict_view(acc))
+        return LinMap._from_nonzeros(self.rows, self.cols, out)
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("adding maps of different shape")
-        return LinMap(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.a, other.a)))
+        return self._combine(other, negate=False)
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("subtracting maps of different shape")
-        return LinMap(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.a, other.a)))
+        return self._combine(other, negate=True)
 
     def scale(self, s) -> "LinMap":
         s = Q(s)
-        return LinMap(self.rows, self.cols, tuple(tuple(s * x for x in r) for r in self.a))
+        if not s:
+            return LinMap.zero(self.rows, self.cols)
+        return LinMap._from_nonzeros(self.rows, self.cols, [
+            (cs, tuple(s * v for v in vs)) for cs, vs in self.nonzeros])
 
     def column(self, c: int) -> tuple[Q, ...]:
-        return tuple(self.a[r][c] for r in range(self.rows))
+        return tuple(row[c] for row in self.a)
+
+    def differing_columns(self, other: "LinMap") -> list[int]:
+        """The columns, ascending, in which self and other differ."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("comparing maps of different shape")
+        mine, theirs = self.transpose().nonzeros, other.transpose().nonzeros
+        return [c for c in range(self.cols) if mine[c] != theirs[c]]
 
     def apply_flat(self, coeffs: Sequence[Q]) -> tuple[Q, ...]:
         if len(coeffs) != self.cols:
             raise DimensionMismatch("flat vector length does not match map source")
-        return tuple(
-            sum((self.a[i][j] * coeffs[j] for j in range(self.cols) if coeffs[j] != 0), ZERO)
-            for i in range(self.rows))
+        return tuple(sum((v * coeffs[c] for c, v in zip(cs, vs)), ZERO)
+                     for cs, vs in self.nonzeros)
+
+
+# The converters below take cells that are already Fractions (from Vec,
+# Covec, Endo, Elem2, Elem3, BiForm and the frozen structure tables), so
+# they build through LinMap._exact.
 
 
 def endo_map(f: Endo) -> LinMap:
-    return LinMap(f.dim, f.dim, f.entries)
+    return LinMap._exact(f.dim, f.dim, f.entries)
 
 
 def endo_tensor(*fs: Endo) -> Endo:
@@ -628,14 +722,14 @@ def endo_tensor(*fs: Endo) -> Endo:
     return Endo(m.rows, m.a)
 
 
-def elem_map(coeffs: Sequence) -> LinMap:
+def elem_map(coeffs: Sequence[Q]) -> LinMap:
     """A vector (of any tensor power, flat row-major) as the map K -> V."""
-    return LinMap(len(coeffs), 1, tuple((c,) for c in coeffs))
+    return LinMap._exact(len(coeffs), 1, tuple((c,) for c in coeffs))
 
 
-def form_map(coeffs: Sequence) -> LinMap:
+def form_map(coeffs: Sequence[Q]) -> LinMap:
     """A functional (on any tensor power, flat row-major) as the map V -> K."""
-    return LinMap(1, len(coeffs), (tuple(coeffs),))
+    return LinMap._exact(1, len(coeffs), (tuple(coeffs),))
 
 
 def biform_map(s: BiForm) -> LinMap:
@@ -659,13 +753,13 @@ def counit_map(e: Covec) -> LinMap:
 
 def _two_to_one(t, d0: int, d1: int, d2: int) -> LinMap:
     """e_a (x) e_b -> sum_c t[a][b][c] e_c."""
-    return LinMap(d2, d0 * d1, tuple(
+    return LinMap._exact(d2, d0 * d1, tuple(
         tuple(t[a][b][c] for a in range(d0) for b in range(d1)) for c in range(d2)))
 
 
 def _one_to_two(t, d0: int, d1: int, d2: int) -> LinMap:
     """e_a -> sum_{b,c} t[a][b][c] e_b (x) e_c."""
-    return LinMap(d1 * d2, d0, tuple(
+    return LinMap._exact(d1 * d2, d0, tuple(
         tuple(t[a][b][c] for a in range(d0)) for b in range(d1) for c in range(d2)))
 
 
@@ -749,9 +843,8 @@ def _leg_targets(dims: Sequence[int], perm: Sequence[int], size: int) -> list[in
 def first_nonmultiplicative(f: Endo, m: Mul) -> tuple[int, int] | None:
     """The first basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j), or None."""
     fm, mu = endo_map(f), mul_map(m)
-    lhs, rhs = fm @ mu, mu @ fm.tensor(fm)
-    return next((divmod(c, m.dim) for c in range(lhs.cols)
-                 if lhs.column(c) != rhs.column(c)), None)
+    bad = (fm @ mu).differing_columns(mu @ fm.tensor(fm))
+    return divmod(bad[0], m.dim) if bad else None
 
 
 def first_noncommuting(maps: dict[str, Endo]) -> tuple[str, str] | None:

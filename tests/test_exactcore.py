@@ -1,3 +1,6 @@
+import itertools
+import math
+import os
 from fractions import Fraction as Q
 
 import pytest
@@ -10,7 +13,7 @@ from bihom.exactcore import (
     comul_apply, mul_apply, render_elem2, render_vec, scalar_parse,
     scalar_render, tensor_vv,
 )
-from bihom import catalog
+from bihom import axioms, catalog, exactcore, models
 
 ID2 = Endo.identity(2)
 
@@ -187,18 +190,26 @@ def test_linmap_tensor_compose_interchange(a, b, c, d):
     assert f.tensor(g) @ h.tensor(k) == (f @ h).tensor(g @ k)
 
 
-def _leg_permutation_matrix(dims, perm):
-    """The reference permutation matrix: target leg t is source leg perm[t]."""
-    import itertools
+def _leg_moves(dims, perm):
+    """moves[src] = dst: where each flat index lands when target leg t is
+    source leg perm[t]."""
     out_dims = [dims[p] for p in perm]
-    size = len(list(itertools.product(*(range(d) for d in dims))))
-    rows = [[0] * size for _ in range(size)]
-    for src, idx in enumerate(itertools.product(*(range(d) for d in dims))):
+    moves = []
+    for idx in itertools.product(*(range(d) for d in dims)):
         dst = 0
         for d, p in zip(out_dims, perm):
             dst = dst * d + idx[p]
+        moves.append(dst)
+    return moves
+
+
+def _leg_permutation_matrix(dims, perm):
+    """The reference permutation matrix: target leg t is source leg perm[t]."""
+    moves = _leg_moves(dims, perm)
+    rows = [[0] * len(moves) for _ in moves]
+    for src, dst in enumerate(moves):
         rows[dst][src] = 1
-    return LinMap(size, size, tuple(tuple(r) for r in rows))
+    return LinMap(len(moves), len(moves), tuple(tuple(r) for r in rows))
 
 
 @pytest.mark.parametrize("dims, perm", [((2, 3, 2), (2, 0, 1)), ((3, 2), (1, 0)),
@@ -238,6 +249,140 @@ def test_reshape_reads_row_major():
     f = LinMap(2, 3, ((1, 2, 3), (4, 5, 6)))
     assert f.reshape(3, 2) == LinMap(3, 2, ((1, 2), (3, 4), (5, 6)))
     assert f.reshape(1, 6).reshape(2, 3) == f
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against a dense nested-loop reference
+
+# A few large-denominator values with their negatives, so that sums of
+# products often cancel exactly, next to arbitrary small rationals.
+_BIG = [Q(2 ** 61 - 1, 10 ** 12 + 39), Q(-7, 3 ** 25), Q(5, 2 ** 40)]
+_values = st.one_of(st.sampled_from(_BIG + [-x for x in _BIG]),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 6))
+
+
+@st.composite
+def _rows(draw, rows, cols):
+    """Dense rows of Fractions, about two cells in three zero."""
+    return [[draw(_values) if draw(st.sampled_from((False, False, True))) else Q(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _cancelling(draw, x):
+    """Rows that cancel x exactly on a drawn subset of its cells."""
+    y = draw(_rows(len(x), len(x[0])))
+    spots = st.tuples(st.integers(0, len(x) - 1), st.integers(0, len(x[0]) - 1))
+    for r, c in draw(st.lists(spots, max_size=len(x) * len(x[0]))):
+        y[r][c] = -x[r][c]
+    return y
+
+
+def _assert_matches(result, ref):
+    """result equals the reference rows cell by cell, every cell is a
+    Fraction, and it compares, hashes and views equal to the public build."""
+    built = LinMap(len(ref), len(ref[0]), ref)
+    assert result.a == tuple(tuple(row) for row in ref)
+    assert all(type(x) is Q for row in result.a for x in row)
+    assert result == built and hash(result) == hash(built)
+    assert result.nonzeros == built.nonzeros
+    assert result.differing_columns(built) == []
+
+
+_side = st.integers(1, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_binary_ops_match_dense_reference(data):
+    r, m, c, r2, c2 = (data.draw(_side) for _ in range(5))
+    x, y, z = data.draw(_rows(r, m)), data.draw(_rows(m, c)), data.draw(_rows(r2, c2))
+    w = _cancelling(data.draw, x)
+    f, g, h, k = LinMap(r, m, x), LinMap(m, c, y), LinMap(r2, c2, z), LinMap(r, m, w)
+    _assert_matches(f @ g, [[sum((x[i][t] * y[t][j] for t in range(m)), Q(0))
+                             for j in range(c)] for i in range(r)])
+    _assert_matches(f.tensor(h), [[x[i][a] * z[j][b] for a in range(m) for b in range(c2)]
+                                  for i in range(r) for j in range(r2)])
+    _assert_matches(f + k, [[x[i][j] + w[i][j] for j in range(m)] for i in range(r)])
+    _assert_matches(f - k, [[x[i][j] - w[i][j] for j in range(m)] for i in range(r)])
+    _assert_matches(f - f, [[Q(0)] * m for _ in range(r)])
+    _assert_matches(f @ f.transpose(), [[sum((x[i][t] * x[j][t] for t in range(m)), Q(0))
+                                         for j in range(r)] for i in range(r)])
+    _assert_matches(k.transpose() @ f, [[sum((w[t][i] * x[t][j] for t in range(r)), Q(0))
+                                         for j in range(m)] for i in range(m)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_unary_ops_match_dense_reference(data):
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    perm = data.draw(st.permutations(range(len(dims))))
+    r, cols = data.draw(_side), math.prod(dims)
+    x = data.draw(_rows(r, cols))
+    s = data.draw(st.one_of(st.just(Q(0)), st.just(Q(1)), _values))
+    f = LinMap(r, cols, x)
+    _assert_matches(f.scale(s), [[s * v for v in row] for row in x])
+    _assert_matches(f.scale(0), [[Q(0)] * cols for _ in range(r)])
+    xt = [[x[i][j] for i in range(r)] for j in range(cols)]
+    _assert_matches(f.transpose(), xt)
+    flat = [v for row in x for v in row]
+    new_rows = data.draw(st.sampled_from([d for d in range(1, r * cols + 1) if r * cols % d == 0]))
+    new_cols = r * cols // new_rows
+    _assert_matches(f.reshape(new_rows, new_cols),
+                    [flat[i * new_cols:(i + 1) * new_cols] for i in range(new_rows)])
+    moves = _leg_moves(dims, perm)
+    _assert_matches(f.permute_cols(dims, perm), [[row[moves[j]] for j in range(cols)] for row in x])
+    moved = [None] * cols
+    for src, dst in enumerate(moves):
+        moved[dst] = xt[src]
+    _assert_matches(f.transpose().permute_rows(dims, perm), moved)
+
+
+def test_differing_columns():
+    f = LinMap(2, 3, ((1, 0, 2), (0, 0, 3)))
+    g = LinMap(2, 3, ((1, 0, 2), (5, 0, 0)))
+    assert f.differing_columns(g) == [0, 2]
+    assert f.differing_columns(f.scale(1)) == []
+    with pytest.raises(DimensionMismatch):
+        f.differing_columns(f.transpose())
+
+
+# ---------------------------------------------------------------------------
+# built maps are not coerced again
+
+
+@pytest.fixture
+def coerce_calls(monkeypatch):
+    """The number of _coerce calls since the fixture was set up."""
+    calls = [0]
+    coerce = exactcore._coerce
+
+    def counting(values):
+        calls[0] += 1
+        return coerce(values)
+
+    monkeypatch.setattr(exactcore, "_coerce", counting)
+    return calls
+
+
+def test_kernel_results_skip_coerce(coerce_calls):
+    f = LinMap(4, 4, tuple(tuple(Q(i - j, i + j + 1) for j in range(4)) for i in range(4)))
+    g = LinMap(4, 2, ((1, 0), (0, Q(2, 3)), (0, 0), (-1, 1)))
+    coerce_calls[0] = 0
+    results = [f @ g, f.tensor(g), f + f, f - f, f.scale(Q(3, 2)), f.scale(0), f.transpose(),
+               f.reshape(2, 8), f.permute_cols((2, 2), (1, 0)), f.permute_rows((2, 2), (1, 0)),
+               LinMap.identity(3), LinMap.zero(2, 3)]
+    assert coerce_calls[0] == 0
+    assert all(type(x) is Q for m in results for row in m.a for x in row)
+
+
+def test_check_infbh_bialgebra_barely_coerces(coerce_calls):
+    """The structure maps and every composite of a dimension-8 check are
+    built from cells that are already exact."""
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "trunc-poly-7.json")
+    b = models.load(path).as_bialgebra()
+    coerce_calls[0] = 0
+    assert axioms.check_infbh_bialgebra(b).violations
+    assert coerce_calls[0] <= 24
 
 
 def test_render_canonical():
