@@ -304,6 +304,14 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
     add(["verify", f"@in/{large['prelie_co']}", "--kind", "prelie-coalgebra", "--json"])
     add(["hopf-module", f"@in/{large['ms']}", "--from", "coqt", "--sigma", "@in/s8-one.json",
          "-o", "@out"])
+    for host in ("dual-numbers", "kz2", "kz2-yau", "trivial-left"):
+        for weight in ([], ["--weight=-1"]):
+            for any_r in ([], ["--any-r"]):
+                for fmt in ([], ["--json"]):
+                    add(["search-r", f"@in/{host}.json", "--coeffs=-1,0,1",
+                         *weight, *any_r, *fmt])
+    add(["search-r", "@in/trivial-left.json", "--coeffs=-2,-1,0,1,2", "--weight=0", "--any-r"])
+    add(["search-r", "@in/trunc-poly-2.json", "--coeffs=0,1"])
     ids = [c[0] for c in cases]
     assert len(ids) == len(set(ids)), "case ids collide"
     return cases
