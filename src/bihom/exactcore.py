@@ -144,21 +144,15 @@ class Endo:
 
     def __call__(self, v: Vec) -> Vec:
         _same_dim(self, v)
-        return Vec(self.dim, tuple(
-            sum((self.entries[i][j] * v.coeffs[j] for j in range(self.dim)), ZERO)
-            for i in range(self.dim)))
+        return Vec(self.dim, endo_map(self).apply_flat(v.coeffs))
 
     def __matmul__(self, other: "Endo") -> "Endo":
         """Composition self o other."""
         _same_dim(self, other)
-        n = self.dim
-        return Endo(n, tuple(tuple(
-            sum((self.entries[i][k] * other.entries[k][j] for k in range(n)), ZERO)
-            for j in range(n)) for i in range(n)))
+        return Endo(self.dim, (endo_map(self) @ endo_map(other)).a)
 
     def transpose(self) -> "Endo":
-        n = self.dim
-        return Endo(n, tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
+        return Endo(self.dim, endo_map(self).transpose().a)
 
     def is_identity(self) -> bool:
         return self == Endo.identity(self.dim)
@@ -217,10 +211,7 @@ class Mul:
 
     def __add__(self, other: "Mul") -> "Mul":
         _same_dim(self, other)
-        n = self.dim
-        return Mul(n, tuple(tuple(tuple(
-            self.c[i][j][k] + other.c[i][j][k] for k in range(n))
-            for j in range(n)) for i in range(n)))
+        return Mul(self.dim, action_table(mul_map(self) + mul_map(other), self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -296,28 +287,6 @@ class Elem3:
     def zero(dim: int) -> "Elem3":
         return Elem3(dim, (((ZERO,) * dim,) * dim,) * dim)
 
-    def __add__(self, other: "Elem3") -> "Elem3":
-        _same_dim(self, other)
-        n = self.dim
-        return Elem3(n, tuple(tuple(tuple(
-            self.t[i][j][k] + other.t[i][j][k] for k in range(n))
-            for j in range(n)) for i in range(n)))
-
-    def __sub__(self, other: "Elem3") -> "Elem3":
-        _same_dim(self, other)
-        n = self.dim
-        return Elem3(n, tuple(tuple(tuple(
-            self.t[i][j][k] - other.t[i][j][k] for k in range(n))
-            for j in range(n)) for i in range(n)))
-
-    def __neg__(self) -> "Elem3":
-        return self.scale(-1)
-
-    def scale(self, s) -> "Elem3":
-        s = Q(s)
-        n = self.dim
-        return Elem3(n, tuple(tuple(tuple(s * x for x in row) for row in plane) for plane in self.t))
-
     def is_zero(self) -> bool:
         return all(x == 0 for p in self.t for r in p for x in r)
 
@@ -336,10 +305,8 @@ class BiForm:
             raise DimensionMismatch("BiForm matrix is not square of side dim")
 
     def __call__(self, a: Vec, b: Vec) -> Q:
-        _same_dim(self, a)
-        _same_dim(self, b)
-        return sum((self.s[i][j] * a.coeffs[i] * b.coeffs[j]
-                    for i in range(self.dim) for j in range(self.dim)), ZERO)
+        _same_dim(self, a)  # and tensor_vv checks b against a
+        return biform_map(self).apply_flat(elem2_flat(tensor_vv(a, b)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,72 +315,70 @@ class BiForm:
 
 def mul_apply(m: Mul, a: Vec, b: Vec) -> Vec:
     """Bilinear product sum a_i b_j c[i][j][k] e_k."""
-    _same_dim(m, a)
-    _same_dim(m, b)
-    n = m.dim
-    out = [ZERO] * n
-    for i in range(n):
-        if a.coeffs[i] == 0:
-            continue
-        for j in range(n):
-            s = a.coeffs[i] * b.coeffs[j]
-            if s == 0:
-                continue
-            for k in range(n):
-                out[k] += s * m.c[i][j][k]
-    return Vec(n, tuple(out))
+    _same_dim(m, a)  # and tensor_vv checks b against a
+    return Vec(m.dim, mul_map(m).apply_flat(elem2_flat(tensor_vv(a, b))))
 
 
 def comul_apply(d: Comul, a: Vec) -> Elem2:
     """Linear extension of the coproduct to a, as an Elem2."""
     _same_dim(d, a)
-    n = d.dim
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        if a.coeffs[i] == 0:
-            continue
-        for j in range(n):
-            for k in range(n):
-                out[j][k] += a.coeffs[i] * d.d[i][j][k]
-    return Elem2(n, tuple(tuple(row) for row in out))
+    return Elem2(d.dim, (comul_map(d) @ elem_map(a.coeffs)).reshape(d.dim, d.dim).a)
 
 
 def tensor_vv(a: Vec, b: Vec) -> Elem2:
     _same_dim(a, b)
-    return Elem2(a.dim, tuple(tuple(x * y for y in b.coeffs) for x in a.coeffs))
+    return Elem2(a.dim, (elem_map(a.coeffs) @ form_map(b.coeffs)).a)
 
 
-def elem2_map(f: Endo, g: Endo, r: Elem2) -> Elem2:
-    """(f (x) g)(r)."""
-    n = r.dim
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = r.m[i][j]
-            if s == 0:
-                continue
-            for u in range(n):
-                fu = f.entries[u][i]
-                if fu == 0:
-                    continue
-                for v in range(n):
-                    out[u][v] += s * fu * g.entries[v][j]
-    return Elem2(n, tuple(tuple(row) for row in out))
+def square_map(f: Endo) -> LinMap:
+    """f (x) f on A (x) A."""
+    fm = endo_map(f)
+    return fm.tensor(fm)
 
 
 def elem2_invariant_under(f: Endo, r: Elem2) -> bool:
     """f-invariance of r: (f (x) f)(r) = r."""
-    return elem2_map(f, f, r) == r
+    flat = elem2_flat(r)
+    return square_map(f).apply_flat(flat) == flat
 
 
 def biform_invariant_under(f: Endo, s: BiForm) -> bool:
     """f-invariance of a bilinear form: sigma o (f (x) f) = sigma."""
     sig = biform_map(s)
-    fm = endo_map(f)
-    return sig @ fm.tensor(fm) == sig
+    return sig @ square_map(f) == sig
 
 
 ELEM3_KINDS = ("r13r12", "r12r23", "r23r13", "r13", "r12", "r23")
+_ELEM3_PRODUCTS = ELEM3_KINDS[:3]
+
+
+def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo,
+              unit: Vec | None) -> LinMap:
+    """The map behind elem3_build: a product kind is a map on r (x) rbar,
+    whose legs (i, j, k, l) carry r_ij rbar_kl, and a linear kind a map on r."""
+    if kind not in ELEM3_KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    for other in (alpha, beta, psi, omega):
+        _same_dim(m, other)
+    n = m.dim
+    i1, mu = LinMap.identity(n), mul_map(m)
+    al, be, ps, om = map(endo_map, (alpha, beta, psi, omega))
+    legs = ((n,) * 4, (0, 2, 3, 1))
+    if kind == "r12r23":
+        return al.tensor(mu).tensor(be)
+    if kind == "r13r12":
+        return (mu @ om.tensor(i1)).tensor(be).tensor(al @ ps).permute_cols(*legs)
+    if kind == "r23r13":
+        return (be @ om).tensor(al).tensor(mu @ i1.tensor(ps)).permute_cols(*legs)
+    if unit is None:
+        raise MissingUnit(f"building {kind} needs the unit element")
+    _same_dim(m, unit)
+    u = unit_map(unit)
+    if kind == "r13":
+        return om.tensor(u).tensor(ps)
+    if kind == "r12":
+        return i1.tensor(i1).tensor(u)
+    return u.tensor(i1).tensor(i1)
 
 
 def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo,
@@ -429,80 +394,14 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
         r12    = r (x) 1
         r23    = 1 (x) r
     """
-    if kind not in ELEM3_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if rbar is None:
-        rbar = r
-    n = m.dim
-    for other in (alpha, beta, psi, omega, r, rbar):
-        _same_dim(m, other)
-    if kind in ("r13", "r12", "r23"):
-        if unit is None:
-            raise MissingUnit(f"building {kind} needs the unit element")
-        _same_dim(m, unit)
-
-    out = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-
-    def add(xs, ys, zs, coeff: Q):
-        if coeff == 0:
-            return
-        for a in range(n):
-            xa = xs[a]
-            if xa == 0:
-                continue
-            for b in range(n):
-                xb = xa * ys[b]
-                if xb == 0:
-                    continue
-                row = out[a][b]
-                for c in range(n):
-                    if zs[c] != 0:
-                        row[c] += coeff * xb * zs[c]
-
-    basis = [Vec.basis(n, i) for i in range(n)]
-    col = lambda f, i: tuple(f.entries[u][i] for u in range(n))
-
-    if kind == "r12":
-        for i in range(n):
-            for j in range(n):
-                add(basis[i].coeffs, basis[j].coeffs, unit.coeffs, r.m[i][j])
-    elif kind == "r23":
-        for i in range(n):
-            for j in range(n):
-                add(unit.coeffs, basis[i].coeffs, basis[j].coeffs, r.m[i][j])
-    elif kind == "r13":
-        for i in range(n):
-            for j in range(n):
-                add(col(omega, i), unit.coeffs, col(psi, j), r.m[i][j])
-    else:
-        alpha_c = [col(alpha, i) for i in range(n)]
-        beta_c = [col(beta, i) for i in range(n)]
-        omega_v = [omega(basis[i]) for i in range(n)]
-        psi_v = [psi(basis[i]) for i in range(n)]
-        alpha_psi, beta_omega = alpha @ psi, beta @ omega
-        alphapsi_c = [col(alpha_psi, i) for i in range(n)]
-        betaomega_c = [col(beta_omega, i) for i in range(n)]
-        prod = [[mul_apply(m, basis[i], basis[j]).coeffs for j in range(n)] for i in range(n)]
-        omega_prod = [[mul_apply(m, omega_v[i], basis[k]).coeffs for k in range(n)] for i in range(n)]
-        psi_prod = [[mul_apply(m, basis[l], psi_v[j]).coeffs for j in range(n)] for l in range(n)]
-        for i in range(n):
-            for j in range(n):
-                cij = r.m[i][j]
-                if cij == 0:
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        coeff = cij * rbar.m[k][l]
-                        if coeff == 0:
-                            continue
-                        if kind == "r12r23":
-                            add(alpha_c[i], prod[j][k], beta_c[l], coeff)
-                        elif kind == "r13r12":
-                            add(omega_prod[i][k], beta_c[l], alphapsi_c[j], coeff)
-                        else:  # r23r13
-                            add(betaomega_c[i], alpha_c[k], psi_prod[l][j], coeff)
-
-    return Elem3(n, tuple(tuple(tuple(row) for row in plane) for plane in out))
+    f = elem3_map(kind, m, alpha, beta, psi, omega, unit)
+    rbar = r if rbar is None else rbar
+    _same_dim(m, r)
+    _same_dim(m, rbar)
+    flat = elem2_flat(r)
+    if kind in _ELEM3_PRODUCTS:
+        flat = outer_flat(flat, elem2_flat(rbar))
+    return flat_elem3(f.apply_flat(flat), m.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +600,11 @@ class LinMap:
     def apply_flat(self, coeffs: Sequence[Q]) -> tuple[Q, ...]:
         if len(coeffs) != self.cols:
             raise DimensionMismatch("flat vector length does not match map source")
-        return tuple(sum((v * coeffs[c] for c, v in zip(cs, vs)), ZERO)
-                     for cs, vs in self.nonzeros)
+        # tuple() of a list, not of a generator: CPython sizes the latter by
+        # a guess and resizes it, so a search that applies maps per candidate
+        # leaves up to 2,000 tuples on each per-size free list.
+        return tuple([sum((v * coeffs[c] for c, v in zip(cs, vs)), ZERO)
+                      for cs, vs in self.nonzeros])
 
 
 # The converters below take cells that are already Fractions (from Vec,
@@ -811,6 +713,11 @@ def rcoaction_map(h, dim_m: int, dim_a: int) -> LinMap:
 
 def elem2_flat(r: Elem2) -> tuple[Q, ...]:
     return tuple(r.m[i][j] for i in range(r.dim) for j in range(r.dim))
+
+
+def outer_flat(x: Sequence[Q], y: Sequence[Q]) -> tuple[Q, ...]:
+    """The flat coefficients of x (x) y from the flat coefficients of x and y."""
+    return tuple([a * b for a in x for b in y])  # a list first, see apply_flat
 
 
 def elem3_flat(t: Elem3) -> tuple[Q, ...]:

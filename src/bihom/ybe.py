@@ -22,10 +22,9 @@ from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    ELEM3_KINDS as ELEM3_ALL, BiForm, Elem2, Elem3, Endo, LinMap, Q,
-    biform_invariant_under, biform_map, comul_map, counit_map, elem2_flat,
-    elem2_invariant_under, elem3_build, elem3_flat, elem_map, endo_inverse,
-    endo_is_invertible, endo_map, flat_elem3,
+    BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under, biform_map, comul_map,
+    counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map, endo_inverse,
+    endo_is_invertible, endo_map, flat_elem3, outer_flat, square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
@@ -43,25 +42,35 @@ class YbeReport:
                 "characterization": dict(sorted(self.characterization.items()))}
 
 
-_RESIDUAL_KINDS = ("r13r12", "r12r23", "r23r13", "r13")
-
-
-def _build_parts(a: Algebra, psi: Endo, omega: Endo, r: Elem2, kinds) -> dict[str, Elem3]:
+def _residual_maps(a: Algebra, psi: Endo, omega: Endo, weight: Q,
+                   anti: bool) -> tuple[LinMap, LinMap]:
+    """The residual of r is quad(r (x) r) - lin(r) for these two maps."""
     if a.unit is None:
         raise MissingUnit("the residual needs the unit element")
-    return {kind: elem3_build(kind, a.mul, a.alpha, a.beta, psi, omega, a.unit, r)
-            for kind in kinds}
 
-
-def _residual_from_parts(parts: dict[str, Elem3], weight: Q, anti: bool) -> Elem3:
+    def part(kind: str) -> LinMap:
+        return elem3_map(kind, a.mul, a.alpha, a.beta, psi, omega, a.unit)
     sign = -weight if anti else weight
-    return parts["r13r12"] - parts["r12r23"] + parts["r23r13"] - parts["r13"].scale(sign)
+    return part("r13r12") - part("r12r23") + part("r23r13"), part("r13").scale(sign)
 
 
 def _residual_elem3(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight: Q,
                     anti: bool) -> Elem3:
-    return _residual_from_parts(_build_parts(a, psi, omega, r, _RESIDUAL_KINDS),
-                                weight, anti)
+    if r.dim != a.dim:
+        raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
+    quad, lin = _residual_maps(a, psi, omega, weight, anti)
+    flat = elem2_flat(r)
+    return flat_elem3([x - y for x, y in zip(quad.apply_flat(outer_flat(flat, flat)),
+                                             lin.apply_flat(flat))], a.dim)
+
+
+def _squares(a: Algebra, psi: Endo, omega: Endo) -> tuple[LinMap, ...]:
+    """f (x) f for the four twists r must be invariant under."""
+    return tuple(square_map(f) for f in (a.alpha, a.beta, psi, omega))
+
+
+def _invariant(squares: tuple[LinMap, ...], flat: tuple[Q, ...]) -> bool:
+    return all(ff.apply_flat(flat) == flat for ff in squares)
 
 
 def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
@@ -74,29 +83,27 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     omitted when those hypotheses fail.
     """
     weight = Q(weight)
-    if r.dim != a.dim:
-        raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
-    invariant = all(elem2_invariant_under(f, r) for f in (a.alpha, a.beta, psi, omega))
-    characterizable = (invariant and endo_is_invertible(a.alpha)
-                       and endo_is_invertible(a.beta))
-    kinds = ELEM3_ALL if characterizable else _RESIDUAL_KINDS
-    parts = _build_parts(a, psi, omega, r, kinds)
-    residual = _residual_from_parts(parts, weight, anti)
+    residual = _residual_elem3(a, psi, omega, r, weight, anti)
     characterization: dict[str, bool] = {}
-    if characterizable:
+    if (_invariant(_squares(a, psi, omega), elem2_flat(r))
+            and endo_is_invertible(a.alpha) and endo_is_invertible(a.beta)):
+        # both sides of each identity as elements K -> A (x) A (x) A
+        part = {kind: elem_map(elem3_flat(elem3_build(kind, a.mul, a.alpha, a.beta, psi,
+                                                      omega, a.unit, r)))
+                for kind in ("r13r12", "r23r13", "r13", "r12", "r23")}
+        r_map = elem_map(elem2_flat(r))
         try:
             for anti_flag, key_left, key_right in ((False, "(14.8)", "(14.9)"),
                                                    (True, "(14.28)", "(14.29)")):
                 dmap = constructions._delta_r_map(a, psi, omega, r, weight, anti_flag)
-                flat_r = elem2_flat(r)
-                lhs_left = flat_elem3(dmap.tensor(endo_map(psi)).apply_flat(flat_r), a.dim)
-                lhs_right = flat_elem3(endo_map(omega).tensor(dmap).apply_flat(flat_r), a.dim)
+                lhs_left = dmap.tensor(endo_map(psi)) @ r_map
+                lhs_right = endo_map(omega).tensor(dmap) @ r_map
                 if anti_flag:
-                    rhs_left = (-parts["r23r13"]) - (parts["r23"] + parts["r13"]).scale(weight)
-                    rhs_right = parts["r13r12"]
+                    rhs_left = part["r23r13"].scale(-1) - (part["r23"] + part["r13"]).scale(weight)
+                    rhs_right = part["r13r12"]
                 else:
-                    rhs_left = -parts["r23r13"]
-                    rhs_right = parts["r13r12"] - (parts["r13"] + parts["r12"]).scale(weight)
+                    rhs_left = part["r23r13"].scale(-1)
+                    rhs_right = part["r13r12"] - (part["r13"] + part["r12"]).scale(weight)
                 characterization[key_left] = lhs_left == rhs_left
                 characterization[key_right] = lhs_right == rhs_right
         except BihomError:
@@ -205,12 +212,48 @@ def worker_count() -> int:
         return 1
 
 
-def _solves(args) -> bool:
-    a, psi, omega, weight, r, require_invariant = args
-    if require_invariant and not all(
-            elem2_invariant_under(f, r) for f in (a.alpha, a.beta, psi, omega)):
-        return False
-    return _residual_elem3(a, psi, omega, r, weight, anti=False).is_zero()
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid(n: int, coeff_set, guard: int) -> tuple[list[Q], int]:
+    """The sorted grid values and the number of candidates on dim n,
+    refused when that number exceeds the guard."""
+    coeffs = sorted({Q(x) for x in coeff_set})
+    total = len(coeffs) ** (n * n)
+    if total > guard:
+        raise SearchSpaceTooLarge(f"{total} candidates exceed the guard of {guard}")
+    return coeffs, total
+
+
+def _grid_flats(coeffs: list[Q], n: int, start: int = 0, stop: int | None = None):
+    """The row-major coefficient tuples of grid candidates start..stop-1, in
+    lexicographic order, one at a time."""
+    return itertools.islice(itertools.product(coeffs, repeat=n * n), start, stop)
+
+
+def _as_elem2(flat: tuple[Q, ...], n: int) -> Elem2:
+    return Elem2(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
+
+
+def _solves(search: tuple[LinMap, LinMap, tuple[LinMap, ...]], flat: tuple[Q, ...]) -> bool:
+    """Whether the candidate with row-major coefficients flat is invariant
+    under every square in the search (none when invariance is not
+    required) and has zero residual."""
+    quad, lin, squares = search
+    return (_invariant(squares, flat)
+            and quad.apply_flat(outer_flat(flat, flat)) == lin.apply_flat(flat))
+
+
+def _search_range(job) -> list[tuple[Q, ...]]:
+    """The solutions among grid candidates start..stop-1, in grid order."""
+    a, psi, omega, weight, coeffs, require_invariant, start, stop = job
+    search = (*_residual_maps(a, psi, omega, weight, anti=False),
+              _squares(a, psi, omega) if require_invariant else ())
+    return [flat for flat in _grid_flats(coeffs, a.dim, start, stop) if _solves(search, flat)]
 
 
 def grid_search_r(a: Algebra, psi: Endo, omega: Endo, weight,
@@ -219,29 +262,23 @@ def grid_search_r(a: Algebra, psi: Endo, omega: Endo, weight,
     """All r with entries from coeff_set and zero residual, in lexicographic
     order of their row-major coefficient tuples.
 
-    The candidate space is split across BIHOM_THREADS worker processes when
-    that cap exceeds one; verdicts are merged back in grid order, so the
-    result is identical either way.
+    The grid is split into contiguous index ranges, one per worker process,
+    when BIHOM_THREADS exceeds one (at most one worker per usable CPU); the
+    solutions are merged back in grid order, so the result is identical
+    either way.
     """
-    weight = Q(weight)
-    coeffs = sorted({Q(x) for x in coeff_set})
-    n = a.dim
-    slots = n * n
-    total = len(coeffs) ** slots
-    if total > guard:
-        raise SearchSpaceTooLarge(f"{total} candidates exceed the guard of {guard}")
-    candidates = [Elem2(n, tuple(tuple(combo[i * n + j] for j in range(n))
-                                 for i in range(n)))
-                  for combo in itertools.product(coeffs, repeat=slots)]
-    jobs = [(a, psi, omega, weight, r, require_invariant) for r in candidates]
-    workers = min(worker_count(), len(jobs)) if jobs else 1
+    coeffs, total = _grid(a.dim, coeff_set, guard)
+    workers = max(1, min(worker_count(), total, _usable_cpus()))
+    bounds = [total * k // workers for k in range(workers + 1)]
+    jobs = [(a, psi, omega, Q(weight), coeffs, require_invariant, start, stop)
+            for start, stop in zip(bounds, bounds[1:])]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(_solves, jobs, chunksize=max(1, len(jobs) // workers)))
+            found = list(pool.map(_search_range, jobs))
     else:
-        verdicts = [_solves(job) for job in jobs]
-    return [r for r, ok in zip(candidates, verdicts) if ok]
+        found = [_search_range(job) for job in jobs]
+    return [_as_elem2(flat, a.dim) for part in found for flat in part]
 
 
 def grid_candidates(a: Algebra, psi: Endo, omega: Endo, coeff_set,
@@ -249,17 +286,7 @@ def grid_candidates(a: Algebra, psi: Endo, omega: Endo, coeff_set,
                     guard: int = 10_000_000) -> list[Elem2]:
     """Every grid candidate (solutions and non-solutions alike), for the
     equivalence sweeps that quantify over the whole grid."""
-    coeffs = sorted({Q(x) for x in coeff_set})
-    n = a.dim
-    slots = n * n
-    total = len(coeffs) ** slots
-    if total > guard:
-        raise SearchSpaceTooLarge(f"{total} candidates exceed the guard of {guard}")
-    out = []
-    for combo in itertools.product(coeffs, repeat=slots):
-        r = Elem2(n, tuple(tuple(combo[i * n + j] for j in range(n)) for i in range(n)))
-        if require_invariant and not all(
-                elem2_invariant_under(f, r) for f in (a.alpha, a.beta, psi, omega)):
-            continue
-        out.append(r)
-    return out
+    coeffs, _ = _grid(a.dim, coeff_set, guard)
+    squares = _squares(a, psi, omega) if require_invariant else ()
+    return [_as_elem2(flat, a.dim) for flat in _grid_flats(coeffs, a.dim)
+            if _invariant(squares, flat)]

@@ -4,7 +4,7 @@ import os
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bihom.errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
@@ -175,6 +175,95 @@ def test_elem3_build_needs_unit(dual_numbers):
     r = _unit_cube()
     with pytest.raises(MissingUnit):
         elem3_build("r13", dual_numbers.mul, ID2, ID2, ID2, ID2, None, r)
+
+
+def _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar):
+    """The nested-loop construction the LinMap kernel replaced, on plain
+    lists of Fractions: c[i][j][k] the product, each twist a matrix whose
+    column j is the image of e_j, unit a list, r and rbar matrices."""
+    n = len(c)
+    out = [[[Q(0)] * n for _ in range(n)] for _ in range(n)]
+
+    def add(xs, ys, zs, coeff):
+        if coeff == 0:
+            return
+        for a in range(n):
+            xa = xs[a]
+            if xa == 0:
+                continue
+            for b in range(n):
+                xb = xa * ys[b]
+                if xb == 0:
+                    continue
+                row = out[a][b]
+                for c_ in range(n):
+                    if zs[c_] != 0:
+                        row[c_] += coeff * xb * zs[c_]
+
+    def col(f, i):
+        return [f[u][i] for u in range(n)]
+
+    def compose(f, g):
+        return [[sum((f[i][k] * g[k][j] for k in range(n)), Q(0)) for j in range(n)]
+                for i in range(n)]
+
+    def mul(x, y):
+        return [sum((x[i] * y[j] * c[i][j][k] for i in range(n) for j in range(n)), Q(0))
+                for k in range(n)]
+
+    basis = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    if kind == "r12":
+        for i in range(n):
+            for j in range(n):
+                add(basis[i], basis[j], unit, r[i][j])
+    elif kind == "r23":
+        for i in range(n):
+            for j in range(n):
+                add(unit, basis[i], basis[j], r[i][j])
+    elif kind == "r13":
+        for i in range(n):
+            for j in range(n):
+                add(col(omega, i), unit, col(psi, j), r[i][j])
+    else:
+        alpha_c = [col(alpha, i) for i in range(n)]
+        beta_c = [col(beta, i) for i in range(n)]
+        alphapsi_c = [col(compose(alpha, psi), i) for i in range(n)]
+        betaomega_c = [col(compose(beta, omega), i) for i in range(n)]
+        prod = [[mul(basis[i], basis[j]) for j in range(n)] for i in range(n)]
+        omega_prod = [[mul(col(omega, i), basis[k]) for k in range(n)] for i in range(n)]
+        psi_prod = [[mul(basis[l], col(psi, j)) for j in range(n)] for l in range(n)]
+        for i in range(n):
+            for j in range(n):
+                cij = r[i][j]
+                if cij == 0:
+                    continue
+                for k in range(n):
+                    for l in range(n):
+                        coeff = cij * rbar[k][l]
+                        if coeff == 0:
+                            continue
+                        if kind == "r12r23":
+                            add(alpha_c[i], prod[j][k], beta_c[l], coeff)
+                        elif kind == "r13r12":
+                            add(omega_prod[i][k], beta_c[l], alphapsi_c[j], coeff)
+                        else:  # r23r13
+                            add(betaomega_c[i], alpha_c[k], psi_prod[l][j], coeff)
+    return tuple(tuple(tuple(row) for row in plane) for plane in out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_elem3_build_matches_nested_loops(data):
+    n = data.draw(st.integers(2, 3))
+    square = lambda: data.draw(_rows(n, n))
+    c = [data.draw(_rows(n, n)) for _ in range(n)]
+    alpha, beta, psi, omega, r, rbar = (square() for _ in range(6))
+    unit = data.draw(_rows(1, n))[0]
+    assume(rbar != r)
+    args = (Mul(n, c), *(Endo(n, f) for f in (alpha, beta, psi, omega)), Vec(n, unit))
+    for kind in exactcore.ELEM3_KINDS:
+        built = elem3_build(kind, *args, Elem2(n, r), Elem2(n, rbar))
+        assert built.t == _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar), kind
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 INPUTS = os.path.join(GOLDEN, "inputs")
 
 
-def _cases():
+def _cases(*names):
     out = []
     cases_dir = os.path.join(GOLDEN, "cases")
-    for fname in sorted(os.listdir(cases_dir)):
+    for fname in names or sorted(os.listdir(cases_dir)):
         with open(os.path.join(cases_dir, fname), encoding="utf-8") as fh:
             for case_id, doc in json.load(fh).items():
                 out.append(pytest.param(doc, id=case_id))
@@ -28,6 +28,17 @@ def _cases():
 
 @pytest.mark.parametrize("doc", _cases())
 def test_golden(doc, tmp_path, capsys):
+    _replay(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("doc", _cases("search-r.json"))
+def test_golden_search_pooled(doc, tmp_path, capsys, monkeypatch):
+    """The pooled search prints the bytes recorded from the serial one."""
+    monkeypatch.setenv("BIHOM_THREADS", "2")
+    _replay(doc, tmp_path, capsys)
+
+
+def _replay(doc, tmp_path, capsys):
     out_path = str(tmp_path / "out.json")
     argv = [os.path.join(INPUTS, a[4:]) if a.startswith("@in/") else
             (out_path if a == "@out" else a) for a in doc["argv"]]

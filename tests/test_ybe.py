@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -232,3 +235,50 @@ def test_worker_count_parsing(monkeypatch):
     assert ybe.worker_count() == 1
     monkeypatch.delenv("BIHOM_THREADS")
     assert ybe.worker_count() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+def test_worker_count_capped_at_usable_cpus(dual_numbers, monkeypatch):
+    """A BIHOM_THREADS far above the CPUs this process may use asks the
+    pool for no more workers than those CPUs. The pool is recorded and run
+    in process, so no worker is started."""
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    serial = ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("BIHOM_THREADS", "5000")
+    assert ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID) == serial
+    assert all(w <= len(os.sched_getaffinity(0)) for w in asked), asked
+
+
+def test_search_memory_does_not_grow_with_the_grid(kz2_yau, monkeypatch):
+    """The serial search streams its candidates: 2,401 of them peak at
+    under twice the memory of 81."""
+    monkeypatch.delenv("BIHOM_THREADS", raising=False)
+    a, psi, omega = kz2_yau.algebra, kz2_yau.coalgebra.psi, kz2_yau.coalgebra.omega
+    small, large = GRID, [Q(x) for x in range(-3, 4)]
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            ybe.grid_search_r(a, psi, omega, 1, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for grid in (small, large):  # first-call allocations are not the search's
+        ybe.grid_search_r(a, psi, omega, 1, grid)
+    assert peak(large) < 2 * peak(small)
