@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -235,6 +236,21 @@ def test_installed_entry_point(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    """A reader that goes away (`search-r ... | head -1`) is not a violation."""
+    host = os.path.join(os.path.dirname(__file__), "golden", "inputs", "trivial-left.json")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bihom.cli", "search-r", host,
+                               "--coeffs=-2,-1,0,1,2", "--weight=0", "--any-r"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_hopf_bimodule_roundtrip_and_verify(tmp_path, capsys):
