@@ -23,8 +23,8 @@ from .errors import (
 from .exactcore import (
     BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
     biform_invariant_under, biform_map, coaction_map, coaction_table, comul_map,
-    counit_map, elem2_flat, elem2_invariant_under, elem_map, endo_inverse, endo_map,
-    endo_tensor, first_noncommuting, first_nonmultiplicative, mul_map, unit_map,
+    counit_map, elem2_flat, elem_map, endo_inverse, endo_map, endo_tensor,
+    first_noncommuting, first_nonmultiplicative, mul_map, square_map, unit_map,
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
@@ -263,8 +263,9 @@ def _check_r_preconditions(a: Algebra, psi: Endo, omega: Endo, r: Elem2):
     if r.dim != a.dim:
         raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
     _check_unital_twist_compat(a, psi, omega)
+    flat = elem2_flat(r)
     for f, name in ((a.alpha, "alpha"), (a.beta, "beta"), (psi, "psi"), (omega, "omega")):
-        if not elem2_invariant_under(f, r):
+        if square_map(f).apply_flat(flat) != flat:  # (f (x) f)(r) = r
             raise NotInvariant(f"r is not {name}-invariant")
 
 

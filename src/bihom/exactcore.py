@@ -336,12 +336,6 @@ def square_map(f: Endo) -> LinMap:
     return fm.tensor(fm)
 
 
-def elem2_invariant_under(f: Endo, r: Elem2) -> bool:
-    """f-invariance of r: (f (x) f)(r) = r."""
-    flat = elem2_flat(r)
-    return square_map(f).apply_flat(flat) == flat
-
-
 def biform_invariant_under(f: Endo, s: BiForm) -> bool:
     """f-invariance of a bilinear form: sigma o (f (x) f) = sigma."""
     sig = biform_map(s)

@@ -255,9 +255,8 @@ def _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar):
 @given(st.data())
 def test_elem3_build_matches_nested_loops(data):
     n = data.draw(st.integers(2, 3))
-    square = lambda: data.draw(_rows(n, n))
     c = [data.draw(_rows(n, n)) for _ in range(n)]
-    alpha, beta, psi, omega, r, rbar = (square() for _ in range(6))
+    alpha, beta, psi, omega, r, rbar = (data.draw(_rows(n, n)) for _ in range(6))
     unit = data.draw(_rows(1, n))[0]
     assume(rbar != r)
     args = (Mul(n, c), *(Endo(n, f) for f in (alpha, beta, psi, omega)), Vec(n, unit))
