@@ -305,8 +305,9 @@ class BiForm:
             raise DimensionMismatch("BiForm matrix is not square of side dim")
 
     def __call__(self, a: Vec, b: Vec) -> Q:
-        _same_dim(self, a)  # and tensor_vv checks b against a
-        return biform_map(self).apply_flat(elem2_flat(tensor_vv(a, b)))[0]
+        _same_dim(self, a)
+        _same_dim(a, b)
+        return biform_map(self).apply_flat(outer_flat(a.coeffs, b.coeffs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,9 @@ class BiForm:
 
 def mul_apply(m: Mul, a: Vec, b: Vec) -> Vec:
     """Bilinear product sum a_i b_j c[i][j][k] e_k."""
-    _same_dim(m, a)  # and tensor_vv checks b against a
-    return Vec(m.dim, mul_map(m).apply_flat(elem2_flat(tensor_vv(a, b))))
+    _same_dim(m, a)
+    _same_dim(a, b)
+    return Vec(m.dim, mul_map(m).apply_flat(outer_flat(a.coeffs, b.coeffs)))
 
 
 def comul_apply(d: Comul, a: Vec) -> Elem2:
@@ -327,7 +329,7 @@ def comul_apply(d: Comul, a: Vec) -> Elem2:
 
 def tensor_vv(a: Vec, b: Vec) -> Elem2:
     _same_dim(a, b)
-    return Elem2(a.dim, (elem_map(a.coeffs) @ form_map(b.coeffs)).a)
+    return Elem2(a.dim, form_map(outer_flat(a.coeffs, b.coeffs)).reshape(a.dim, a.dim).a)
 
 
 def square_map(f: Endo) -> LinMap:
@@ -346,14 +348,24 @@ ELEM3_KINDS = ("r13r12", "r12r23", "r23r13", "r13", "r12", "r23")
 _ELEM3_PRODUCTS = ELEM3_KINDS[:3]
 
 
-def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo,
-              unit: Vec | None) -> LinMap:
-    """The map behind elem3_build: a product kind is a map on r (x) rbar,
-    whose legs (i, j, k, l) carry r_ij rbar_kl, and a linear kind a map on r."""
+def _elem3_check(kind: str, m: Mul, twists: Sequence[Endo], unit: Vec | None):
     if kind not in ELEM3_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    for other in (alpha, beta, psi, omega):
+    for other in twists:
         _same_dim(m, other)
+    if kind not in _ELEM3_PRODUCTS:
+        if unit is None:
+            raise MissingUnit(f"building {kind} needs the unit element")
+        _same_dim(m, unit)
+
+
+def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo,
+              unit: Vec | None) -> LinMap:
+    """The map behind elem3_build, compiled once for many r: a product kind
+    is a map on r (x) rbar, whose legs (i, j, k, l) carry r_ij rbar_kl, and
+    a linear kind a map on r. A product kind holds n^3 x n^4 cells, so a
+    single r goes through elem3_build instead."""
+    _elem3_check(kind, m, (alpha, beta, psi, omega), unit)
     n = m.dim
     i1, mu = LinMap.identity(n), mul_map(m)
     al, be, ps, om = map(endo_map, (alpha, beta, psi, omega))
@@ -364,15 +376,21 @@ def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo
         return (mu @ om.tensor(i1)).tensor(be).tensor(al @ ps).permute_cols(*legs)
     if kind == "r23r13":
         return (be @ om).tensor(al).tensor(mu @ i1.tensor(ps)).permute_cols(*legs)
-    if unit is None:
-        raise MissingUnit(f"building {kind} needs the unit element")
-    _same_dim(m, unit)
     u = unit_map(unit)
     if kind == "r13":
         return om.tensor(u).tensor(ps)
     if kind == "r12":
         return i1.tensor(i1).tensor(u)
     return u.tensor(i1).tensor(i1)
+
+
+def _sandwich(x: LinMap, mu: LinMap, y: LinMap) -> LinMap:
+    """sum_{b,e} x[a][b] y[e][d] e_b.e_e for n x n maps x and y, as the
+    1 x n^3 map of its coefficients on legs (a, product, d)."""
+    n = x.rows
+    w = (mu.reshape(n * n, n) @ y).reshape(1, n ** 3)           # legs (c, b, d)
+    w = w.permute_cols((n,) * 3, (1, 0, 2)).reshape(n, n * n)  # rows b, cols (c, d)
+    return (x @ w).reshape(1, n ** 3)
 
 
 def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo,
@@ -387,15 +405,31 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
         r13    = omega(r1) (x) 1 (x) psi(r2)
         r12    = r (x) 1
         r23    = 1 (x) r
+
+    For a product kind, r and rbar are n x n maps (r_ij in row i, column
+    j), so (f (x) g)(r) is f @ r @ g^T: the twists act on them before any
+    tensor product is formed, and no map exceeds n^3 cells.
     """
-    f = elem3_map(kind, m, alpha, beta, psi, omega, unit)
+    _elem3_check(kind, m, (alpha, beta, psi, omega), unit)
     rbar = r if rbar is None else rbar
     _same_dim(m, r)
     _same_dim(m, rbar)
-    flat = elem2_flat(r)
-    if kind in _ELEM3_PRODUCTS:
-        flat = outer_flat(flat, elem2_flat(rbar))
-    return flat_elem3(f.apply_flat(flat), m.dim)
+    n = m.dim
+    if kind not in _ELEM3_PRODUCTS:   # a linear kind: its map has n^5 cells
+        return flat_elem3(elem3_map(kind, m, alpha, beta, psi, omega, unit)
+                          .apply_flat(elem2_flat(r)), n)
+    mu, al, be, ps, om = mul_map(m), *map(endo_map, (alpha, beta, psi, omega))
+    legs = (n,) * 3
+    rm, rb = LinMap._exact(n, n, r.m), LinMap._exact(n, n, rbar.m)
+    if kind == "r12r23":
+        flat = _sandwich(al @ rm, mu, rb @ be.transpose())
+    elif kind == "r13r12":     # sandwich legs (alpha psi(r2), product, beta(rb2))
+        flat = _sandwich((al @ ps) @ rm.transpose() @ om.transpose(), mu,
+                         rb @ be.transpose()).permute_cols(legs, (2, 0, 1))
+    else:                      # sandwich legs (alpha(rb1), product, beta omega(r1))
+        flat = _sandwich(al @ rb, mu,
+                         ps @ rm.transpose() @ (be @ om).transpose()).permute_cols(legs, (1, 2, 0))
+    return flat_elem3(flat.a[0], n)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +440,16 @@ _NO_CELLS = ((), ())
 
 
 def _row_view(row: Sequence[Q]) -> tuple[tuple[int, ...], tuple[Q, ...]]:
-    """The nonzero cells of a dense row as (columns ascending, values)."""
-    cs = tuple(c for c, v in enumerate(row) if v)
-    return (cs, tuple(row[c] for c in cs)) if cs else _NO_CELLS
+    """The nonzero cells of a dense row as (columns ascending, values).
+    Tuples are built from lists, see apply_flat."""
+    cs = tuple([c for c, v in enumerate(row) if v])
+    return (cs, tuple([row[c] for c in cs])) if cs else _NO_CELLS
 
 
 def _dict_view(acc: dict) -> tuple[tuple[int, ...], tuple[Q, ...]]:
     """The nonzero cells of a {column: value} accumulator, as _row_view."""
-    cs = tuple(sorted(c for c, v in acc.items() if v))
-    return (cs, tuple(acc[c] for c in cs)) if cs else _NO_CELLS
+    cs = tuple(sorted([c for c, v in acc.items() if v]))
+    return (cs, tuple([acc[c] for c in cs])) if cs else _NO_CELLS
 
 
 def _gather(rows: int, cells: Iterable) -> list:

@@ -315,20 +315,26 @@ class Coaugmented:
 
 def twisted_left_action(a_alg: Algebra, omega: Endo, t: LinMap, legs: int) -> LinMap:
     """a |> t = omega(a)t_1 (x) beta(t_2) (x) ... (x) beta(t_legs), as a map
-    A -> A^(x)legs; t is an element of A^(x)legs given as a map K -> A^(x)legs."""
-    head = mul_map(a_alg.mul)
-    for _ in range(legs - 1):
-        head = head.tensor(endo_map(a_alg.beta))
-    return head @ endo_map(omega).tensor(t)
+    A -> A^(x)legs; t is an element of A^(x)legs given as a map K -> A^(x)legs.
+    beta acts on t and omega on a before the product, so for legs <= 3 no
+    map exceeds n^4 cells."""
+    n = a_alg.dim
+    rest = n ** (legs - 1)
+    t = t.reshape(n, rest) @ endo_map(endo_tensor(*(a_alg.beta,) * (legs - 1))).transpose()
+    mul = mul_map(a_alg.mul) @ endo_map(omega).tensor(LinMap.identity(n))
+    out = (mul.reshape(n * n, n) @ t).reshape(1, n * n * rest)   # legs (c, a, t_2, ...)
+    return out.permute_cols((n,) * (legs + 1), (0, legs, *range(1, legs))).reshape(n * rest, n)
 
 
 def twisted_right_action(a_alg: Algebra, psi: Endo, t: LinMap, legs: int) -> LinMap:
     """t <| a = alpha(t_1) (x) ... (x) alpha(t_(legs-1)) (x) t_legs.psi(a), as
-    a map A -> A^(x)legs."""
-    head = mul_map(a_alg.mul)
-    for _ in range(legs - 1):
-        head = endo_map(a_alg.alpha).tensor(head)
-    return head @ t.tensor(endo_map(psi))
+    a map A -> A^(x)legs, built like twisted_left_action."""
+    n = a_alg.dim
+    rest = n ** (legs - 1)
+    t = endo_map(endo_tensor(*(a_alg.alpha,) * (legs - 1))) @ t.reshape(rest, n)
+    mul = (mul_map(a_alg.mul) @ LinMap.identity(n).tensor(endo_map(psi))).reshape(1, n ** 3)
+    mul = mul.permute_cols((n,) * 3, (1, 0, 2)).reshape(n, n * n)  # rows t_legs, cols (c, a)
+    return (t @ mul).reshape(rest * n, n)
 
 
 def act_pair_left(a_alg: Algebra, omega: Endo, a: Vec, xy: Elem2) -> Elem2:

@@ -22,9 +22,9 @@ from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under, biform_map, comul_map,
-    counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map, endo_inverse,
-    endo_is_invertible, endo_map, flat_elem3, outer_flat, square_map,
+    ELEM3_KINDS, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under, biform_map,
+    comul_map, counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map,
+    endo_inverse, endo_is_invertible, endo_map, flat_elem3, form_map, outer_flat, square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
@@ -44,24 +44,35 @@ class YbeReport:
 
 def _residual_maps(a: Algebra, psi: Endo, omega: Endo, weight: Q,
                    anti: bool) -> tuple[LinMap, LinMap]:
-    """The residual of r is quad(r (x) r) - lin(r) for these two maps."""
+    """The residual compiled for a search: two maps whose rows are indexed
+    by the coordinates of r (x) r and of r, so that the residual of r is the
+    row form(r (x) r) @ quad - form(r) @ lin. A row times a map visits the
+    nonzero coordinates of r only."""
     if a.unit is None:
         raise MissingUnit("the residual needs the unit element")
 
     def part(kind: str) -> LinMap:
         return elem3_map(kind, a.mul, a.alpha, a.beta, psi, omega, a.unit)
     sign = -weight if anti else weight
-    return part("r13r12") - part("r12r23") + part("r23r13"), part("r13").scale(sign)
+    quad = part("r13r12") - part("r12r23") + part("r23r13")
+    return quad.transpose(), part("r13").scale(sign).transpose()
 
 
-def _residual_elem3(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight: Q,
-                    anti: bool) -> Elem3:
+def _residual_parts(a: Algebra, psi: Endo, omega: Endo, r: Elem2,
+                    kinds: tuple[str, ...]) -> dict[str, LinMap]:
+    """The elements of kinds built from a single r, as maps K -> A (x) A (x) A."""
     if r.dim != a.dim:
         raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
-    quad, lin = _residual_maps(a, psi, omega, weight, anti)
-    flat = elem2_flat(r)
-    return flat_elem3([x - y for x, y in zip(quad.apply_flat(outer_flat(flat, flat)),
-                                             lin.apply_flat(flat))], a.dim)
+    if a.unit is None:
+        raise MissingUnit("the residual needs the unit element")
+    return {kind: elem_map(elem3_flat(elem3_build(kind, a.mul, a.alpha, a.beta, psi, omega,
+                                                  a.unit, r)))
+            for kind in kinds}
+
+
+def _residual(part: dict[str, LinMap], weight: Q, anti: bool) -> LinMap:
+    sign = -weight if anti else weight
+    return part["r13r12"] - part["r12r23"] + part["r23r13"] - part["r13"].scale(sign)
 
 
 def _squares(a: Algebra, psi: Endo, omega: Endo) -> tuple[LinMap, ...]:
@@ -83,14 +94,13 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     omitted when those hypotheses fail.
     """
     weight = Q(weight)
-    residual = _residual_elem3(a, psi, omega, r, weight, anti)
+    characterize = (r.dim == a.dim and _invariant(_squares(a, psi, omega), elem2_flat(r))
+                    and endo_is_invertible(a.alpha) and endo_is_invertible(a.beta))
+    # every element both sides need, as K -> A (x) A (x) A
+    part = _residual_parts(a, psi, omega, r, ELEM3_KINDS if characterize else ELEM3_KINDS[:4])
+    residual = flat_elem3(_residual(part, weight, anti).column(0), a.dim)
     characterization: dict[str, bool] = {}
-    if (_invariant(_squares(a, psi, omega), elem2_flat(r))
-            and endo_is_invertible(a.alpha) and endo_is_invertible(a.beta)):
-        # both sides of each identity as elements K -> A (x) A (x) A
-        part = {kind: elem_map(elem3_flat(elem3_build(kind, a.mul, a.alpha, a.beta, psi,
-                                                      omega, a.unit, r)))
-                for kind in ("r13r12", "r23r13", "r13", "r12", "r23")}
+    if characterize:
         r_map = elem_map(elem2_flat(r))
         try:
             for anti_flag, key_left, key_right in ((False, "(14.8)", "(14.9)"),
@@ -121,7 +131,7 @@ def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     weight = Q(weight)
     alpha_inv = endo_inverse(a.alpha)
     beta_inv = endo_inverse(a.beta)
-    residual = elem_map(elem3_flat(_residual_elem3(a, psi, omega, r, weight, anti)))
+    residual = _residual(_residual_parts(a, psi, omega, r, ELEM3_KINDS[:4]), weight, anti)
     n = a.dim
     lhs = twisted_left_action(a, omega, residual, 3) @ endo_map(omega @ alpha_inv)
     rhs = twisted_right_action(a, psi, residual, 3) @ endo_map(psi @ beta_inv)
@@ -245,7 +255,7 @@ def _solves(search: tuple[LinMap, LinMap, tuple[LinMap, ...]], flat: tuple[Q, ..
     required) and has zero residual."""
     quad, lin, squares = search
     return (_invariant(squares, flat)
-            and quad.apply_flat(outer_flat(flat, flat)) == lin.apply_flat(flat))
+            and form_map(outer_flat(flat, flat)) @ quad == form_map(flat) @ lin)
 
 
 def _search_range(job) -> list[tuple[Q, ...]]:

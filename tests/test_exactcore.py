@@ -253,16 +253,23 @@ def _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_elem3_build_matches_nested_loops(data):
+def test_elem3_build_and_map_match_nested_loops(data):
     n = data.draw(st.integers(2, 3))
     c = [data.draw(_rows(n, n)) for _ in range(n)]
     alpha, beta, psi, omega, r, rbar = (data.draw(_rows(n, n)) for _ in range(6))
     unit = data.draw(_rows(1, n))[0]
     assume(rbar != r)
     args = (Mul(n, c), *(Endo(n, f) for f in (alpha, beta, psi, omega)), Vec(n, unit))
+    flat_r, flat_rbar = (tuple(x for row in m for x in row) for m in (r, rbar))
     for kind in exactcore.ELEM3_KINDS:
+        expected = _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar)
         built = elem3_build(kind, *args, Elem2(n, r), Elem2(n, rbar))
-        assert built.t == _elem3_reference(kind, c, alpha, beta, psi, omega, unit, r, rbar), kind
+        assert built.t == expected, kind
+        # the compiled map, applied to r (x) rbar or to r, gives the same element
+        source = (exactcore.outer_flat(flat_r, flat_rbar)
+                  if kind in ("r13r12", "r12r23", "r23r13") else flat_r)
+        compiled = exactcore.elem3_map(kind, *args).apply_flat(source)
+        assert exactcore.flat_elem3(compiled, n).t == expected, kind
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ def induced(host):
 
 
 @pytest.mark.parametrize("anti", [False, True])
+def test_residual_builds_no_fourth_power_matrix(host, largest, anti):
+    r = Elem2(N, tuple(tuple((i * j + i) % 3 - 1 for j in range(N)) for i in range(N)))
+    ident = Endo.identity(N)
+    report = ybe.abhybe_residual(host.algebra, ident, ident, r, -1, anti=anti)
+    assert report.characterization  # the characterization path ran too
+    assert largest[0] <= N ** 5
+    largest[0] = 0
+    ybe.coboundary_check(host.algebra, ident, ident, r, -1, anti=anti)
+    assert largest[0] <= N ** 5
+
+
+@pytest.mark.parametrize("anti", [False, True])
 def test_co_residual_builds_no_fourth_power_matrix(host, largest, anti):
     sigma = BiForm(N, tuple(tuple((i + 2 * j) % 3 - 1 for j in range(N)) for i in range(N)))
     ident = Endo.identity(N)

@@ -47,3 +47,25 @@ def test_install_wraps_and_restore_puts_back(tracing):
     for label, ns in _namespaces().items():
         assert set(ns) == set(before[label]), label
         assert all(ns[attr] is before[label][attr] for attr in ns), label
+
+
+def test_traced_search_tells_evaluated_from_pruned(tracing, kz2_yau, monkeypatch):
+    """The benchmark counts a candidate as evaluated when its `ybe.candidate`
+    span (a `_solves` call) has a child span, and as pruned by invariance
+    when it has none. The search runs serially, so the spans stay here."""
+    monkeypatch.delenv("BIHOM_THREADS", raising=False)
+    a, psi, omega = kz2_yau.algebra, kz2_yau.coalgebra.psi, kz2_yau.coalgebra.omega
+    grid = [-1, 0, 1]
+    invariant = len(bihom.ybe.grid_candidates(a, psi, omega, grid))
+    rec = tracing.Recorder()
+    restore = tracing.install(rec, bihom)
+    try:
+        rec.enabled = True
+        solutions = bihom.ybe.grid_search_r(a, psi, omega, 1, grid)
+        rec.enabled = False
+    finally:
+        restore()
+    cand = rec.totals()["ybe.candidate"]
+    assert cand["calls"] == len(grid) ** 4
+    assert cand["calls"] - cand["leaves"] == invariant < cand["calls"]
+    assert sum(1 for e in cand["extras"] if e["ok"]) == len(solutions)

@@ -1,10 +1,15 @@
 from fractions import Fraction as Q
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihom import axioms, catalog
 from bihom.errors import NonCommutingMaps, NonMultiplicativeMap
-from bihom.exactcore import Elem2, Elem3, Endo, Vec, comul_apply, tensor_vv
+from bihom.exactcore import Elem2, Elem3, Endo, Mul, Vec, comul_apply, tensor_vv
+from bihom.structures import Algebra
 from bihom.structures import (
     act_pair_left, act_pair_right, act_triple, bimodule_triple,
     regular_bimodule, regular_left_comodule, regular_left_module,
@@ -64,6 +69,55 @@ def test_act_triple_right_multiplies_last_slot(dual_numbers):
     one, x = _one_x()
     t = _cube((one, one, one))
     assert act_triple(dual_numbers, ID2, ID2, "right", x, t) == _cube((one, one, x))
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _square(n):
+    return st.lists(st.lists(_small, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_twisted_actions_match_their_formulas(data):
+    """The pair and triple actions on random hosts of dim 2-3 whose twists
+    are not symmetric, against their defining formulas summed over basis
+    tensors: a |> (x (x) y (x) z) = omega(a)x (x) beta(y) (x) beta(z) and
+    (x (x) y (x) z) <| a = alpha(x) (x) alpha(y) (x) z.psi(a)."""
+    n = data.draw(st.integers(2, 3))
+    c = [data.draw(_square(n)) for _ in range(n)]
+    alpha, beta, psi, omega = (Endo(n, data.draw(_square(n))) for _ in range(4))
+    alg = Algebra(n, Mul(n, c), alpha, beta)
+    a = Vec(n, data.draw(st.lists(_small, min_size=n, max_size=n)))
+    cells = data.draw(st.lists(_small, min_size=n ** 3, max_size=n ** 3))
+    basis = [Vec.basis(n, i) for i in range(n)]
+
+    def expected(legs, side):
+        out = [Q(0)] * n ** legs
+        for idx in itertools.product(range(n), repeat=legs):
+            coeff = cells[sum(i * n ** (legs - 1 - k) for k, i in enumerate(idx))]
+            xs = [basis[i] for i in idx]
+            if side == "left":
+                xs = [alg.product(omega(a), xs[0])] + [beta(x) for x in xs[1:]]
+            else:
+                xs = [alpha(x) for x in xs[:-1]] + [alg.product(xs[-1], psi(a))]
+            for flat, parts in enumerate(itertools.product(*(x.coeffs for x in xs))):
+                prod = coeff
+                for p in parts:
+                    prod *= p
+                out[flat] += prod
+        return out
+
+    xy = Elem2(n, tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
+    pair_left, pair_right = act_pair_left(alg, omega, a, xy), act_pair_right(alg, psi, xy, a)
+    assert [x for row in pair_left.m for x in row] == expected(2, "left")
+    assert [x for row in pair_right.m for x in row] == expected(2, "right")
+    t = Elem3(n, tuple(tuple(tuple(cells[(i * n + j) * n:(i * n + j + 1) * n])
+                             for j in range(n)) for i in range(n)))
+    for side in ("left", "right"):
+        got = act_triple(alg, psi, omega, side, a, t)
+        assert [x for p in got.t for row in p for x in row] == expected(3, side), side
 
 
 def test_regular_bimodule_passes(dual_numbers):

@@ -240,8 +240,9 @@ def test_worker_count_parsing(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
 def test_worker_count_capped_at_usable_cpus(dual_numbers, monkeypatch):
     """A BIHOM_THREADS far above the CPUs this process may use asks the
-    pool for no more workers than those CPUs. The pool is recorded and run
-    in process, so no worker is started."""
+    pool for as many workers as there are usable CPUs. The affinity is
+    faked to three CPUs and the pool is recorded and run in process, so
+    no worker is started."""
     asked = []
 
     class RecordingPool:
@@ -258,10 +259,13 @@ def test_worker_count_capped_at_usable_cpus(dual_numbers, monkeypatch):
             return map(fn, *iterables)
 
     serial = ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID)
+    assert ybe._usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("BIHOM_THREADS", "5000")
-    assert ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID) == serial
-    assert all(w <= len(os.sched_getaffinity(0)) for w in asked), asked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    for threads in ("5000", "2"):
+        monkeypatch.setenv("BIHOM_THREADS", threads)
+        assert ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID) == serial
+    assert asked == [3, 2]
 
 
 def test_search_memory_does_not_grow_with_the_grid(kz2_yau, monkeypatch):
