@@ -312,6 +312,11 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
                          *weight, *any_r, *fmt])
     add(["search-r", "@in/trivial-left.json", "--coeffs=-2,-1,0,1,2", "--weight=0", "--any-r"])
     add(["search-r", "@in/trunc-poly-2.json", "--coeffs=0,1"])
+    for any_r in ([], ["--any-r"]):
+        for fmt in ([], ["--json"]):
+            add(["search-r", "@in/trunc-poly-2.json", "--coeffs=-1,0,1", *any_r, *fmt])
+    # 3^16 candidates: refused by the guard before any work
+    add(["search-r", "@in/trunc-poly-3.json", "--coeffs=-1,0,1"])
     ids = [c[0] for c in cases]
     assert len(ids) == len(set(ids)), "case ids collide"
     return cases
