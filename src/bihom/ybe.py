@@ -14,7 +14,6 @@ evaluated through the induced (co)products.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from . import axioms, constructions
@@ -22,8 +21,8 @@ from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    ELEM3_KINDS, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under, biform_map,
-    comul_map, counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map,
+    ELEM3_KINDS, ONE, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under,
+    biform_map, comul_map, counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map,
     endo_inverse, endo_is_invertible, endo_map, flat_elem3, form_map, outer_flat, square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
@@ -213,36 +212,14 @@ def _coqt_characterization(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
     return characterization
 
 
-def worker_count() -> int:
-    """Worker cap from the optional BIHOM_THREADS variable (default 1)."""
-    raw = os.environ.get("BIHOM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _grid(n: int, coeff_set, guard: int) -> tuple[list[Q], int]:
-    """The sorted grid values and the number of candidates on dim n,
-    refused when that number exceeds the guard."""
+def _grid(n: int, coeff_set, guard: int) -> list[Q]:
+    """The sorted grid values on dim n, refused when the number of
+    candidates exceeds the guard."""
     coeffs = sorted({Q(x) for x in coeff_set})
     total = len(coeffs) ** (n * n)
     if total > guard:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the guard of {guard}")
-    return coeffs, total
-
-
-def _grid_flats(coeffs: list[Q], n: int, start: int = 0, stop: int | None = None):
-    """The row-major coefficient tuples of grid candidates start..stop-1, in
-    lexicographic order, one at a time."""
-    return itertools.islice(itertools.product(coeffs, repeat=n * n), start, stop)
+    return coeffs
 
 
 def _as_elem2(flat: tuple[Q, ...], n: int) -> Elem2:
@@ -252,51 +229,119 @@ def _as_elem2(flat: tuple[Q, ...], n: int) -> Elem2:
 def _solves(search: tuple[LinMap, LinMap, tuple[LinMap, ...]], flat: tuple[Q, ...]) -> bool:
     """Whether the candidate with row-major coefficients flat is invariant
     under every square in the search (none when invariance is not
-    required) and has zero residual."""
+    required) and has zero residual: one grid point at a time, the
+    reference the depth-first search is tested against."""
     quad, lin, squares = search
     return (_invariant(squares, flat)
             and form_map(outer_flat(flat, flat)) @ quad == form_map(flat) @ lin)
 
 
-def _search_range(job) -> list[tuple[Q, ...]]:
-    """The solutions among grid candidates start..stop-1, in grid order."""
-    a, psi, omega, weight, coeffs, require_invariant, start, stop = job
-    search = (*_residual_maps(a, psi, omega, weight, anti=False),
-              _squares(a, psi, omega) if require_invariant else ())
-    return [flat for flat in _grid_flats(coeffs, a.dim, start, stop) if _solves(search, flat)]
+def _system(n: int, residual: tuple[LinMap, LinMap] | None, squares: tuple[LinMap, ...]):
+    """The equations a search decides, the residual ones (quad and lin of
+    _residual_maps) and (f (x) f - id) r = 0 for the squares, by coordinate
+    x_k of r (row-major): the terms in x_k^2, in x_k and in x_p x_k for
+    each p < k, and the equations whose last variable is x_k. Terms are
+    (equation, coefficient) pairs with nonzero coefficients."""
+    nv = n * n
+    square: list[dict] = [{} for _ in range(nv)]
+    linear: list[dict] = [{} for _ in range(nv)]
+    cross: list[dict] = [{} for _ in range(nv)]     # cross[k][p]: the terms in x_p x_k
+    size = 0
+
+    def add(table: dict, cs, vs, sign: Q = ONE):
+        for e, v in zip(cs, vs):
+            table[e] = table.get(e, ZERO) + sign * v
+    if residual is not None:
+        quad, lin = residual
+        for pk, (cs, vs) in enumerate(quad.nonzeros):
+            p, k = sorted(divmod(pk, nv))
+            add(square[k] if p == k else cross[k].setdefault(p, {}), cs, vs)
+        for k, (cs, vs) in enumerate(lin.nonzeros):
+            add(linear[k], cs, vs, -ONE)
+        size = quad.cols
+    # the invariance rows, eliminated so that no two share their last
+    # variable: the same solutions, each equation decided as early as it can be
+    pivots: dict[int, dict] = {}
+    for ff in squares:
+        for cs, vs in (ff - LinMap.identity(nv)).nonzeros:
+            row = dict(zip(cs, vs))
+            while row and (k := max(row)) in pivots:
+                pivot = pivots[k]
+                f = row[k] / pivot[k]
+                row = {c: v for c in row.keys() | pivot.keys()
+                       if (v := row.get(c, ZERO) - f * pivot.get(c, ZERO))}
+            if row:
+                pivots[max(row)] = row
+    for k, row in pivots.items():
+        for c, v in row.items():
+            linear[c][size + k] = v
+    if squares:
+        size += nv
+
+    def terms(table: dict) -> tuple:
+        return tuple((e, v) for e, v in table.items() if v)
+    square, linear = list(map(terms, square)), list(map(terms, linear))
+    cross = [tuple((p, ts) for p, t in sorted(row.items()) if (ts := terms(t))) for row in cross]
+    last = {e: k for k in range(nv)
+            for e, _ in itertools.chain(square[k], linear[k], *(t for _, t in cross[k]))}
+    decide: list[list[int]] = [[] for _ in range(nv)]
+    for e, k in last.items():
+        decide[k].append(e)
+    return square, linear, cross, decide, size
+
+
+def _walk(coeffs: list[Q], system):
+    """The row-major coefficient tuples of the grid points solving every
+    equation of system, in lexicographic order. A depth-first search sets
+    x_0, x_1, ... in turn to each grid value, keeps every equation's value
+    on the assigned prefix as a running sum, and cuts the subtree as soon
+    as an equation whose last variable has been set is nonzero."""
+    square, linear, cross, decide, size = system
+    x = [ZERO] * len(decide)
+
+    def visit(k: int, sums: list[Q]):
+        if k == len(x):
+            yield tuple(x)
+            return
+        slope = dict(linear[k])     # the coefficient of x_k on this prefix
+        for p, terms in cross[k]:
+            xp = x[p]
+            if xp:
+                for e, c in terms:
+                    slope[e] = slope.get(e, ZERO) + xp * c
+        for v in coeffs:
+            child = sums
+            if v:
+                child = sums.copy()
+                for e, c in slope.items():
+                    child[e] += v * c
+                vv = v * v
+                for e, c in square[k]:
+                    child[e] += vv * c
+            if not any(child[e] for e in decide[k]):
+                x[k] = v
+                yield from visit(k + 1, child)
+    return visit(0, [ZERO] * size)
 
 
 def grid_search_r(a: Algebra, psi: Endo, omega: Endo, weight,
                   coeff_set, require_invariant: bool = True,
                   guard: int = 10_000_000) -> list[Elem2]:
     """All r with entries from coeff_set and zero residual, in lexicographic
-    order of their row-major coefficient tuples.
-
-    The grid is split into contiguous index ranges, one per worker process,
-    when BIHOM_THREADS exceeds one (at most one worker per usable CPU); the
-    solutions are merged back in grid order, so the result is identical
-    either way.
-    """
-    coeffs, total = _grid(a.dim, coeff_set, guard)
-    workers = max(1, min(worker_count(), total, _usable_cpus()))
-    bounds = [total * k // workers for k in range(workers + 1)]
-    jobs = [(a, psi, omega, Q(weight), coeffs, require_invariant, start, stop)
-            for start, stop in zip(bounds, bounds[1:])]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_search_range, jobs))
-    else:
-        found = [_search_range(job) for job in jobs]
-    return [_as_elem2(flat, a.dim) for part in found for flat in part]
+    order of their row-major coefficient tuples, found by the depth-first
+    search of _walk. BIHOM_THREADS is accepted and ignored."""
+    coeffs = _grid(a.dim, coeff_set, guard)
+    system = _system(a.dim, _residual_maps(a, psi, omega, Q(weight), anti=False),
+                     _squares(a, psi, omega) if require_invariant else ())
+    return [_as_elem2(flat, a.dim) for flat in _walk(coeffs, system)]
 
 
 def grid_candidates(a: Algebra, psi: Endo, omega: Endo, coeff_set,
                     require_invariant: bool = True,
                     guard: int = 10_000_000) -> list[Elem2]:
     """Every grid candidate (solutions and non-solutions alike), for the
-    equivalence sweeps that quantify over the whole grid."""
-    coeffs, _ = _grid(a.dim, coeff_set, guard)
-    squares = _squares(a, psi, omega) if require_invariant else ()
-    return [_as_elem2(flat, a.dim) for flat in _grid_flats(coeffs, a.dim)
-            if _invariant(squares, flat)]
+    equivalence sweeps that quantify over the whole grid; with invariance
+    required, the search of _walk on the invariance equations alone."""
+    coeffs = _grid(a.dim, coeff_set, guard)
+    system = _system(a.dim, None, _squares(a, psi, omega) if require_invariant else ())
+    return [_as_elem2(flat, a.dim) for flat in _walk(coeffs, system)]

@@ -59,6 +59,18 @@ def test_boolean_dim_or_index_rejected(tmp_path, capsys, text):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("block", ["module", "comodule"])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_non_positive_sub_block_dim_rejected(tmp_path, capsys, block, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 2, "mul": [], block: {"dim": dim, "action": []}}))
+    with pytest.raises(ParseError, match=f"field '{block}'"):
+        models.load(str(path))
+    for argv in (["verify", str(path)], ["verify", str(path), "--kind", "hopf-module"]):
+        assert run(argv) == 2
+        assert f"error: field '{block}'" in capsys.readouterr().err
+
+
 def test_invalid_json_names_line(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 2,,}')

@@ -1,13 +1,16 @@
-import concurrent.futures
-import os
+import itertools
 import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihom import axioms, catalog, constructions as C, ybe
 from bihom.errors import MissingUnit, SearchSpaceTooLarge
-from bihom.exactcore import BiForm, Elem2, Elem3, Endo, Mul, Vec
+from bihom.exactcore import (
+    BiForm, Elem2, Elem3, Endo, LinMap, Mul, Vec, action_table, endo_inverse, endo_map, mul_map,
+)
 from bihom.structures import Algebra
 
 ID2 = Endo.identity(2)
@@ -228,46 +231,6 @@ def test_worker_cap_does_not_change_results(dual_numbers, monkeypatch):
     assert seq == par
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.setenv("BIHOM_THREADS", "4")
-    assert ybe.worker_count() == 4
-    monkeypatch.setenv("BIHOM_THREADS", "garbage")
-    assert ybe.worker_count() == 1
-    monkeypatch.delenv("BIHOM_THREADS")
-    assert ybe.worker_count() == 1
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
-def test_worker_count_capped_at_usable_cpus(dual_numbers, monkeypatch):
-    """A BIHOM_THREADS far above the CPUs this process may use asks the
-    pool for as many workers as there are usable CPUs. The affinity is
-    faked to three CPUs and the pool is recorded and run in process, so
-    no worker is started."""
-    asked = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
-
-    serial = ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID)
-    assert ybe._usable_cpus() == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    for threads in ("5000", "2"):
-        monkeypatch.setenv("BIHOM_THREADS", threads)
-        assert ybe.grid_search_r(dual_numbers, ID2, ID2, 1, GRID) == serial
-    assert asked == [3, 2]
-
-
 def test_search_memory_does_not_grow_with_the_grid(kz2_yau, monkeypatch):
     """The serial search streams its candidates: 2,401 of them peak at
     under twice the memory of 81."""
@@ -286,3 +249,69 @@ def test_search_memory_does_not_grow_with_the_grid(kz2_yau, monkeypatch):
     for grid in (small, large):  # first-call allocations are not the search's
         ybe.grid_search_r(a, psi, omega, 1, grid)
     assert peak(large) < 2 * peak(small)
+
+
+# ---------------------------------------------------------------------------
+# the depth-first search against the grid point by point
+
+BIG = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+
+
+def _brute_force(a, psi, omega, weight, grid, require_invariant):
+    """The grid search one candidate at a time, in lexicographic order."""
+    search = (*ybe._residual_maps(a, psi, omega, Q(weight), anti=False),
+              ybe._squares(a, psi, omega) if require_invariant else ())
+    return [ybe._as_elem2(flat, a.dim)
+            for flat in itertools.product(sorted(set(grid)), repeat=a.dim ** 2)
+            if ybe._solves(search, flat)]
+
+
+@st.composite
+def _unital_hosts(draw):
+    """(algebra, psi, omega, unit coefficients) on dim 2-3: e_0 is the
+    unit, the other products are small integers and mostly zero, the
+    twists are diagonal with entries +-1 and fix e_0. All of it is
+    conjugated by a random integer change of basis, which moves the unit
+    and makes the twists non-diagonal."""
+    n = draw(st.sampled_from([2, 2, 2, 3]))
+    entry = st.sampled_from([Q(0)] * (3 * n - 3) + [Q(1), Q(-1), Q(2)])
+    c = [[[Q(int(k == i + j)) if 0 in (i, j) else draw(entry) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+
+    def unipotent(upper):
+        return LinMap(n, n, [[Q(int(i == j)) if (i > j) == upper or i == j
+                              else draw(st.sampled_from([0] * (n - 1) + [1, -1]))
+                              for j in range(n)]
+                             for i in range(n)])
+    p = unipotent(False) @ unipotent(True)
+    p_inv = endo_map(endo_inverse(Endo(n, p.a)))
+
+    def twist():
+        d = [Q(1)] + [draw(st.sampled_from([Q(1), Q(-1)])) for _ in range(n - 1)]
+        return Endo(n, (p_inv @ endo_map(Endo.diagonal(d)) @ p).a)
+    mul = Mul(n, action_table(p_inv @ mul_map(Mul(n, c)) @ p.tensor(p), n, n))
+    unit = p_inv.column(0)
+    return Algebra(n, mul, twist(), twist(), Vec(n, unit)), twist(), twist(), unit
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tree_search_matches_brute_force(data):
+    """grid_search_r and grid_candidates list exactly the grid points the
+    point-by-point reference accepts, in the same order. Every twist fixes
+    the unit u, so weight * u (x) u solves; the grid often holds its
+    coordinates, a solution with several nonzero coordinates. Without the
+    invariance prune the reference evaluates all 512 dense residuals of a
+    two-value grid at dim 3 (seconds), so there the grid holds one value."""
+    a, psi, omega, unit = data.draw(_unital_hosts())
+    weight = data.draw(BIG)
+    known = sorted({weight * x * y for x in unit for y in unit})
+    grid = data.draw(st.permutations(known)) + data.draw(st.lists(BIG, max_size=2))
+    grid = grid[:4 if a.dim == 2 else 2]
+    for require_invariant, values in ((True, grid), (False, grid[:4 if a.dim == 2 else 1])):
+        assert ybe.grid_search_r(a, psi, omega, weight, values, require_invariant) == \
+            _brute_force(a, psi, omega, weight, values, require_invariant)
+    squares = ybe._squares(a, psi, omega)
+    assert ybe.grid_candidates(a, psi, omega, grid) == [
+        ybe._as_elem2(flat, a.dim) for flat in itertools.product(sorted(set(grid)), repeat=a.dim ** 2)
+        if ybe._invariant(squares, flat)]
