@@ -239,25 +239,26 @@ def _solves(search: tuple[LinMap, LinMap, tuple[LinMap, ...]], flat: tuple[Q, ..
 def _system(n: int, residual: tuple[LinMap, LinMap] | None, squares: tuple[LinMap, ...]):
     """The equations a search decides, the residual ones (quad and lin of
     _residual_maps) and (f (x) f - id) r = 0 for the squares, by coordinate
-    x_k of r (row-major): the terms in x_k^2, in x_k and in x_p x_k for
-    each p < k, and the equations whose last variable is x_k. Terms are
-    (equation, coefficient) pairs with nonzero coefficients."""
+    x_k of r (row-major): the (equation, coefficient) terms in x_k^2, in
+    x_k and in x_p x_k for each p < k, and the equations whose last
+    variable is x_k."""
     nv = n * n
-    square: list[dict] = [{} for _ in range(nv)]
+    square: list[tuple] = [()] * nv
     linear: list[dict] = [{} for _ in range(nv)]
     cross: list[dict] = [{} for _ in range(nv)]     # cross[k][p]: the terms in x_p x_k
     size = 0
-
-    def add(table: dict, cs, vs, sign: Q = ONE):
-        for e, v in zip(cs, vs):
-            table[e] = table.get(e, ZERO) + sign * v
     if residual is not None:
         quad, lin = residual
         for pk, (cs, vs) in enumerate(quad.nonzeros):
             p, k = sorted(divmod(pk, nv))
-            add(square[k] if p == k else cross[k].setdefault(p, {}), cs, vs)
+            if p == k:
+                square[k] = tuple(zip(cs, vs))
+                continue
+            table = cross[k].setdefault(p, {})
+            for e, v in zip(cs, vs):
+                table[e] = table.get(e, ZERO) + v
         for k, (cs, vs) in enumerate(lin.nonzeros):
-            add(linear[k], cs, vs, -ONE)
+            linear[k] = {e: -v for e, v in zip(cs, vs)}
         size = quad.cols
     # the invariance rows, eliminated so that no two share their last
     # variable: the same solutions, each equation decided as early as it can be
@@ -275,15 +276,12 @@ def _system(n: int, residual: tuple[LinMap, LinMap] | None, squares: tuple[LinMa
     for k, row in pivots.items():
         for c, v in row.items():
             linear[c][size + k] = v
-    if squares:
-        size += nv
-
-    def terms(table: dict) -> tuple:
-        return tuple((e, v) for e, v in table.items() if v)
-    square, linear = list(map(terms, square)), list(map(terms, linear))
-    cross = [tuple((p, ts) for p, t in sorted(row.items()) if (ts := terms(t))) for row in cross]
+    size += nv
+    # x_p x_k and x_k x_p terms may cancel
+    cross = [[(p, [(e, v) for e, v in t.items() if v]) for p, t in sorted(row.items())]
+             for row in cross]
     last = {e: k for k in range(nv)
-            for e, _ in itertools.chain(square[k], linear[k], *(t for _, t in cross[k]))}
+            for e, _ in itertools.chain(square[k], linear[k].items(), *(t for _, t in cross[k]))}
     decide: list[list[int]] = [[] for _ in range(nv)]
     for e, k in last.items():
         decide[k].append(e)

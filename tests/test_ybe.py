@@ -232,8 +232,8 @@ def test_worker_cap_does_not_change_results(dual_numbers, monkeypatch):
 
 
 def test_search_memory_does_not_grow_with_the_grid(kz2_yau, monkeypatch):
-    """The serial search streams its candidates: 2,401 of them peak at
-    under twice the memory of 81."""
+    """The search holds one running-sum list per depth of r, not the grid:
+    2,401 candidates peak at under twice the memory of 81."""
     monkeypatch.delenv("BIHOM_THREADS", raising=False)
     a, psi, omega = kz2_yau.algebra, kz2_yau.coalgebra.psi, kz2_yau.coalgebra.omega
     small, large = GRID, [Q(x) for x in range(-3, 4)]
