@@ -296,10 +296,11 @@ def _walk(coeffs: list[Q], system):
     as an equation whose last variable has been set is nonzero."""
     square, linear, cross, decide, size = system
     x = [ZERO] * len(decide)
+    found = []
 
     def visit(k: int, sums: list[Q]):
         if k == len(x):
-            yield tuple(x)
+            found.append(tuple(x))
             return
         slope = dict(linear[k])     # the coefficient of x_k on this prefix
         for p, terms in cross[k]:
@@ -318,8 +319,9 @@ def _walk(coeffs: list[Q], system):
                     child[e] += vv * c
             if not any(child[e] for e in decide[k]):
                 x[k] = v
-                yield from visit(k + 1, child)
-    return visit(0, [ZERO] * size)
+                visit(k + 1, child)
+    visit(0, [ZERO] * size)
+    return found
 
 
 def grid_search_r(a: Algebra, psi: Endo, omega: Endo, weight,
