@@ -288,26 +288,33 @@ def _system(n: int, residual: tuple[LinMap, LinMap] | None, squares: tuple[LinMa
     return square, linear, cross, decide, size
 
 
-def _walk(coeffs: list[Q], system):
+def _walk(coeffs: list[Q], system) -> list[tuple[Q, ...]]:
     """The row-major coefficient tuples of the grid points solving every
     equation of system, in lexicographic order. A depth-first search sets
     x_0, x_1, ... in turn to each grid value, keeps every equation's value
     on the assigned prefix as a running sum, and cuts the subtree as soon
-    as an equation whose last variable has been set is nonzero."""
+    as an equation whose last variable has been set is nonzero. The nodes
+    wait on a stack, not in Python frames, so no dimension meets the
+    recursion limit."""
     square, linear, cross, decide, size = system
     x = [ZERO] * len(decide)
     found = []
-
-    def visit(k: int, sums: list[Q]):
+    stack = [(-1, ZERO, [ZERO] * size)]     # (j, x_j, sums with x_0..x_j set)
+    while stack:
+        j, value, sums = stack.pop()
+        if j >= 0:
+            x[j] = value
+        k = j + 1
         if k == len(x):
             found.append(tuple(x))
-            return
+            continue
         slope = dict(linear[k])     # the coefficient of x_k on this prefix
         for p, terms in cross[k]:
             xp = x[p]
             if xp:
                 for e, c in terms:
                     slope[e] = slope.get(e, ZERO) + xp * c
+        children = []
         for v in coeffs:
             child = sums
             if v:
@@ -318,9 +325,8 @@ def _walk(coeffs: list[Q], system):
                 for e, c in square[k]:
                     child[e] += vv * c
             if not any(child[e] for e in decide[k]):
-                x[k] = v
-                visit(k + 1, child)
-    visit(0, [ZERO] * size)
+                children.append((k, v, child))
+        stack.extend(reversed(children))
     return found
 
 

@@ -215,6 +215,15 @@ def test_grid_search_guard():
                           GRID, guard=100)
 
 
+def test_grid_candidates_deeper_than_the_recursion_limit():
+    """The search keeps its nodes on a stack: dim 33 has 1,089 coordinates,
+    more than Python's default recursion limit."""
+    n = 33
+    one = Endo.identity(n)
+    alg = Algebra(n, Mul.zero(n), one, one, Vec(n, [Q(int(i == 0)) for i in range(n)]))
+    assert ybe.grid_candidates(alg, one, one, [Q(0)]) == [Elem2.zero(n)]
+
+
 def test_induced_structures_from_all_solutions(dual_numbers, kz2_yau):
     """Every grid solution induces a structure passing the full axiom set."""
     for alg, psi, omega in _host_pairs(dual_numbers, kz2_yau):
