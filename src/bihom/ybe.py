@@ -21,7 +21,7 @@ from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    ELEM3_KINDS, ONE, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under,
+    ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under,
     biform_map, comul_map, counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map,
     endo_inverse, endo_is_invertible, endo_map, flat_elem3, form_map, outer_flat, square_map,
 )
@@ -260,23 +260,12 @@ def _system(n: int, residual: tuple[LinMap, LinMap] | None, squares: tuple[LinMa
         for k, (cs, vs) in enumerate(lin.nonzeros):
             linear[k] = {e: -v for e, v in zip(cs, vs)}
         size = quad.cols
-    # the invariance rows, eliminated so that no two share their last
-    # variable: the same solutions, each equation decided as early as it can be
-    pivots: dict[int, dict] = {}
     for ff in squares:
         for cs, vs in (ff - LinMap.identity(nv)).nonzeros:
-            row = dict(zip(cs, vs))
-            while row and (k := max(row)) in pivots:
-                pivot = pivots[k]
-                f = row[k] / pivot[k]
-                row = {c: v for c in row.keys() | pivot.keys()
-                       if (v := row.get(c, ZERO) - f * pivot.get(c, ZERO))}
-            if row:
-                pivots[max(row)] = row
-    for k, row in pivots.items():
-        for c, v in row.items():
-            linear[c][size + k] = v
-    size += nv
+            if cs:
+                for c, v in zip(cs, vs):
+                    linear[c][size] = v
+                size += 1
     # x_p x_k and x_k x_p terms may cancel
     cross = [[(p, [(e, v) for e, v in t.items() if v]) for p, t in sorted(row.items())]
              for row in cross]
