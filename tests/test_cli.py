@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bihom import catalog, models
 from bihom.cli import run
@@ -29,6 +32,50 @@ def test_roundtrip_every_catalog_entry(tmp_path):
         models.save(again, str(tmp_path / "again.json"))
         assert (tmp_path / f"{name}.json").read_bytes() == \
             (tmp_path / "again.json").read_bytes()
+
+
+# the legs of each sparse block: 'a' runs over the model's dim, 'm' over
+# its module or comodule block's dim
+_BLOCK_LEGS = {"mul": "aaa", "comul": "aaa", "star": "aaa", "r": "aa", "sigma": "aa",
+               "action": "amm", "raction": "mam", "coaction": "mam", "rcoaction": "mma"}
+
+
+@st.composite
+def _sparse_block(draw, dims):
+    """Sparse entries on dims in any order, some repeated at the same index
+    with a value that adds to the first or cancels it."""
+    index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entries = draw(st.lists(st.tuples(index, value), max_size=6))
+    for idx, v in draw(st.lists(st.sampled_from(entries), max_size=4) if entries else st.just([])):
+        entries.append((idx, draw(st.sampled_from([-v, v, v / 2]))))
+    return [[*idx, str(v)] for idx, v in draw(st.permutations(entries))]
+
+
+def _reference(entries) -> list:
+    """Duplicates summed, zeros dropped, sorted by index."""
+    total: dict = {}
+    for *idx, v in entries:
+        total[tuple(idx)] = total.get(tuple(idx), 0) + Fraction(v)
+    return [[*idx, str(v)] for idx, v in sorted(total.items()) if v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_blocks_roundtrip_to_canonical_entries(data):
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def block(key):
+        return data.draw(_sparse_block(tuple(n if leg == "a" else m for leg in _BLOCK_LEGS[key])))
+    doc = {"name": "x", "dim": n}
+    doc.update((key, block(key)) for key in ("mul", "comul", "star", "r", "sigma"))
+    doc["module"] = {"dim": m, "action": block("action"), "raction": block("raction")}
+    doc["comodule"] = {"dim": m, "coaction": block("coaction"), "rcoaction": block("rcoaction")}
+    expected = {key: _reference(val) for key, val in doc.items() if isinstance(val, list)}
+    for sub in ("module", "comodule"):
+        expected[sub] = {key: val if key == "dim" else _reference(val)
+                         for key, val in doc[sub].items()}
+    assert models.model_to_dict(models.model_from_dict(doc)) == {"name": "x", "dim": n, **expected}
 
 
 def test_index_out_of_range(tmp_path):
