@@ -12,7 +12,7 @@ from fractions import Fraction as Q
 
 from bihom import axioms, catalog, constructions, ybe
 from bihom.exactcore import Endo
-from bihom.models import _pairs_out
+from bihom.models import entries_out
 
 
 def hosts():
@@ -46,7 +46,7 @@ def main():
                 b = constructions.delta_r(alg, psi, omega, r, w)
                 verdict = axioms.check_infbh_bialgebra(b).passed
                 rep = ybe.abhybe_residual(alg, psi, omega, r, w)
-                print(f"    r = {_pairs_out(r.m) or '0'}"
+                print(f"    r = {entries_out(r) or '0'}"
                       f"  induced structure valid: {verdict}"
                       f"  characterizations: {rep.characterization}")
 

@@ -12,38 +12,24 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from . import axioms, ybe
-from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec, ZERO
+from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
 from .models import ModelFile
 from .structures import Algebra
 
 _ID2 = Endo.identity(2)
 
 
-def _mul_from_entries(dim, entries):
-    dense = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, v in entries:
-        dense[i][j][k] = Q(v)
-    return Mul(dim, tuple(tuple(tuple(r) for r in p) for p in dense))
-
-
-def _comul_from_entries(dim, entries):
-    dense = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, v in entries:
-        dense[i][j][k] = Q(v)
-    return Comul(dim, tuple(tuple(tuple(r) for r in p) for p in dense))
-
-
 def _dual_numbers() -> ModelFile:
     # basis 1, x with x^2 = 0
-    mul = _mul_from_entries(2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
+    mul = Mul(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
     return ModelFile("dual-numbers", 2, mul=mul, unit=Vec(2, (1, 0)),
                      maps={"alpha": _ID2, "beta": _ID2})
 
 
 def _kz2() -> ModelFile:
     # group algebra on 1, g with g^2 = 1; coproduct a -> -(a (x) 1) at weight 1
-    mul = _mul_from_entries(2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)])
-    comul = _comul_from_entries(2, [(0, 0, 0, -1), (1, 1, 0, -1)])
+    mul = Mul(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
+    comul = Comul(2, {(0, 0, 0): -1, (1, 1, 0): -1})
     return ModelFile("kz2", 2, weight=Q(1), mul=mul, comul=comul, unit=Vec(2, (1, 0)),
                      maps={"alpha": _ID2, "beta": _ID2, "psi": _ID2, "omega": _ID2})
 
@@ -61,14 +47,12 @@ def _kz2_yau() -> ModelFile:
 def _trunc_poly(order: int) -> ModelFile:
     # K[x]/(x^(order+1)) with the full-range divided coproduct at weight -1
     dim = order + 1
-    mul_entries = [(i, j, i + j, 1) for i in range(dim) for j in range(dim) if i + j <= order]
-    comul_entries = [(n, p, n - p, 1) for n in range(dim) for p in range(n + 1)]
     ident = Endo.identity(dim)
     basis0 = [1] + [0] * order
     return ModelFile(
         f"trunc-poly-{order}", dim, weight=Q(-1),
-        mul=_mul_from_entries(dim, mul_entries),
-        comul=_comul_from_entries(dim, comul_entries),
+        mul=Mul(dim, {(i, j, i + j): 1 for i in range(dim) for j in range(dim) if i + j <= order}),
+        comul=Comul(dim, {(n, p, n - p): 1 for n in range(dim) for p in range(n + 1)}),
         unit=Vec(dim, tuple(basis0)), counit=Covec(dim, tuple(basis0)),
         maps={"alpha": ident, "beta": ident, "psi": ident, "omega": ident})
 
@@ -77,9 +61,9 @@ def _trivial(side: str) -> ModelFile:
     # weight-1 coproduct a -> -(a (x) 1) resp. -(1 (x) a) on the dual numbers
     base = _dual_numbers()
     if side == "left":
-        comul = _comul_from_entries(2, [(0, 0, 0, -1), (1, 1, 0, -1)])
+        comul = Comul(2, {(0, 0, 0): -1, (1, 1, 0): -1})
     else:
-        comul = _comul_from_entries(2, [(0, 0, 0, -1), (1, 0, 1, -1)])
+        comul = Comul(2, {(0, 0, 0): -1, (1, 0, 1): -1})
     return ModelFile(f"trivial-{side}", 2, weight=Q(1), mul=base.mul, comul=comul,
                      unit=base.unit,
                      maps={"alpha": _ID2, "beta": _ID2, "psi": _ID2, "omega": _ID2})

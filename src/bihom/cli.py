@@ -91,7 +91,7 @@ def _cmd_twist(args) -> int:
 def _cmd_delta_r(args) -> int:
     model = models.load(args.file)
     a = model.as_algebra()
-    rfile = models.load(args.r)
+    rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     b = constructions.delta_r(a, model.map("psi"), model.map("omega"),
                               rfile.r, weight, anti=args.anti)
@@ -102,7 +102,7 @@ def _cmd_delta_r(args) -> int:
 def _cmd_mu_sigma(args) -> int:
     model = models.load(args.file)
     c = model.as_coalgebra()
-    sfile = models.load(args.sigma)
+    sfile = models.load(args.sigma, "sigma")
     weight = _weight_of(sfile, args.weight, model)
     b = constructions.mu_sigma(c, model.map("alpha"), model.map("beta"),
                                sfile.sigma, weight, anti=args.anti)
@@ -113,7 +113,7 @@ def _cmd_mu_sigma(args) -> int:
 def _cmd_ybe(args) -> int:
     model = models.load(args.file)
     a = model.as_algebra()
-    rfile = models.load(args.r)
+    rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     report = ybe.abhybe_residual(a, model.map("psi"), model.map("omega"),
                                  rfile.r, weight, anti=args.anti)
@@ -131,7 +131,7 @@ def _cmd_ybe(args) -> int:
 def _cmd_co_ybe(args) -> int:
     model = models.load(args.file)
     c = model.as_coalgebra()
-    sfile = models.load(args.sigma)
+    sfile = models.load(args.sigma, "sigma")
     weight = _weight_of(sfile, args.weight, model)
     report = ybe.coabhybe_residual(c, model.map("alpha"), model.map("beta"),
                                    sfile.sigma, weight, anti=args.anti)
@@ -181,7 +181,7 @@ def _cmd_prelie_coalgebra(args) -> int:
 def _cmd_rota_baxter(args) -> int:
     model = models.load(args.file)
     a = model.as_algebra()
-    rfile = models.load(args.r)
+    rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     rb = constructions.rota_baxter_from_r(a, model.map("psi"), model.map("omega"),
                                           rfile.r, weight, sign=args.sign)
@@ -232,7 +232,7 @@ def _cmd_hopf_module(args) -> int:
     elif variant in ("qt", "anti_qt"):
         if not args.r:
             raise BihomError("--r is required for the quasitriangular variants")
-        rfile = models.load(args.r)
+        rfile = models.load(args.r, "r")
         module = (model._module_part() if model.module is not None
                   else regular_left_module(b.algebra))
         regular = module.dim == b.dim
@@ -245,7 +245,7 @@ def _cmd_hopf_module(args) -> int:
     elif variant == "coqt":
         if not args.sigma:
             raise BihomError("--sigma is required for the coquasitriangular variant")
-        sfile = models.load(args.sigma)
+        sfile = models.load(args.sigma, "sigma")
         comodule = (model._comodule_part() if model.comodule is not None
                     else regular_left_comodule(b.coalgebra))
         regular = comodule.dim == b.dim
@@ -274,12 +274,12 @@ def _cmd_search_r(args) -> int:
                                   require_invariant=not args.any_r)
     if args.json:
         doc = {"count": len(solutions),
-               "solutions": [models._pairs_out(r.m) for r in solutions]}
+               "solutions": [models.entries_out(r) for r in solutions]}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(f"{len(solutions)} solution(s) over {model.name} at weight {weight}")
         for r in solutions:
-            print(f"  {models._pairs_out(r.m)}")
+            print(f"  {models.entries_out(r)}")
     return 0
 
 

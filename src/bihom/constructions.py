@@ -7,9 +7,9 @@ form) are emitted even when r fails the Yang-Baxter residual, because the
 derivation property holds regardless and coassociativity is the caller's
 obligation via :mod:`bihom.ybe`.
 
-Every constructed tensor is a composite of LinMaps built from the structure
-maps, exactly as the checkers in :mod:`bihom.axioms` build both sides of an
-identity; only the final conversion back to a table is layout-specific.
+Every constructed tensor is a composite of the records' LinMaps, exactly
+as the checkers in :mod:`bihom.axioms` build both sides of an identity,
+and the new record stores that composite as it is.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .errors import (
     NotYBESolution, PreconditionFailed, WeightMismatch,
 )
 from .exactcore import (
-    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
-    biform_invariant_under, biform_map, coaction_map, coaction_table, comul_map,
-    counit_map, elem2_flat, elem_map, endo_inverse, endo_map, endo_tensor,
-    first_noncommuting, first_nonmultiplicative, mul_map, square_map, unit_map,
+    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, biform_invariant_under,
+    endo_inverse, endo_tensor, first_noncommuting, first_nonmultiplicative, square_map,
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
@@ -33,18 +31,8 @@ from .structures import (
 )
 
 
-def _as_mul(f: LinMap) -> Mul:
-    return Mul(f.rows, action_table(f, f.rows, f.rows))
-
-
-def _as_comul(f: LinMap) -> Comul:
-    return Comul(f.cols, coaction_table(f, f.cols, f.cols))
-
-
 def _endo_comultiplicative(f: Endo, d: Comul) -> bool:
-    fm = endo_map(f)
-    dm = comul_map(d)
-    return fm.tensor(fm) @ dm == dm @ fm
+    return square_map(f) @ d.map == d.map @ f.map
 
 
 def _require_square_maps(dim: int, *endos: Endo):
@@ -81,9 +69,9 @@ def _check_counital_twist_compat(c: Coalgebra, alpha: Endo, beta: Endo):
             raise PreconditionFailed("(12.2)")
     if c.counit is None:
         raise MissingCounit("a counital coalgebra is required")
-    eps = counit_map(c.counit)
+    eps = c.counit.map
     for f in (alpha, beta):
-        if eps @ endo_map(f) != eps:
+        if eps @ f.map != eps:
             raise PreconditionFailed("(12.31)")
 
 
@@ -111,13 +99,13 @@ def yau_twist(b: Bialgebra, alpha: Endo, beta: Endo, psi: Endo, omega: Endo) -> 
             raise NotMorphism("a twist map is not a coalgebra morphism")
         if a_.unit is not None and f(a_.unit) != a_.unit:
             raise NotMorphism("a twist map does not fix the unit")
-        if c_.counit is not None and counit_map(c_.counit) @ endo_map(f) != counit_map(c_.counit):
+        if c_.counit is not None and c_.counit.map @ f.map != c_.counit.map:
             raise NotMorphism("a twist map does not preserve the counit")
     if first_noncommuting(maps) is not None:
         raise NonCommutingMaps("twist maps must pairwise commute")
 
-    twisted_mul = _as_mul(mul_map(a_.mul) @ endo_map(alpha).tensor(endo_map(beta)))
-    twisted_comul = _as_comul(endo_map(omega).tensor(endo_map(psi)) @ comul_map(c_.comul))
+    twisted_mul = Mul(n, a_.mul.map @ alpha.map.tensor(beta.map))
+    twisted_comul = Comul(n, omega.map.tensor(psi.map) @ c_.comul.map)
     return Bialgebra(
         Algebra(n, twisted_mul, alpha, beta, a_.unit),
         Coalgebra(n, twisted_comul, psi, omega, c_.counit),
@@ -132,9 +120,9 @@ def trivial_coproduct(a: Algebra, psi: Endo, omega: Endo, weight, side: str = "l
     weight = Q(weight)
     _check_unital_twist_compat(a, psi, omega)
     n = a.dim
-    eta = unit_map(a.unit)
-    half = endo_map(omega).tensor(eta) if side == "left" else eta.tensor(endo_map(psi))
-    comul = _as_comul(half.scale(-weight))
+    eta = a.unit.map
+    half = omega.map.tensor(eta) if side == "left" else eta.tensor(psi.map)
+    comul = Comul(n, half.scale(-weight))
     return Bialgebra(a, Coalgebra(n, comul, psi, omega, counit=None), weight)
 
 
@@ -146,9 +134,9 @@ def trivial_product(c: Coalgebra, alpha: Endo, beta: Endo, weight, side: str = "
     weight = Q(weight)
     _check_counital_twist_compat(c, alpha, beta)
     n = c.dim
-    eps = counit_map(c.counit)
-    half = endo_map(alpha).tensor(eps) if side == "left" else eps.tensor(endo_map(beta))
-    mul = _as_mul(half.scale(-weight))
+    eps = c.counit.map
+    half = alpha.map.tensor(eps) if side == "left" else eps.tensor(beta.map)
+    mul = Mul(n, half.scale(-weight))
     return Bialgebra(Algebra(n, mul, alpha, beta, unit=None), c, weight)
 
 
@@ -160,8 +148,8 @@ def dualize(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra on the dual basis (an involution)."""
     n = b.dim
     c_ = b.coalgebra
-    mul = _as_mul(comul_map(c_.comul).transpose())
-    unit = Vec(n, c_.counit.coeffs) if c_.counit is not None else None
+    mul = Mul(n, c_.comul.map.transpose())
+    unit = Vec(n, c_.counit.map.transpose()) if c_.counit is not None else None
     return Bialgebra(Algebra(n, mul, c_.omega.transpose(), c_.psi.transpose(), unit),
                      dual_coalgebra(b.algebra), b.weight)
 
@@ -169,8 +157,8 @@ def dualize(b: Bialgebra) -> Bialgebra:
 def dual_coalgebra(a: Algebra) -> Coalgebra:
     """The coalgebra on the dual basis of an algebra (with its evaluation counit)."""
     n = a.dim
-    comul = _as_comul(mul_map(a.mul).transpose())
-    counit = Covec(n, a.unit.coeffs) if a.unit is not None else None
+    comul = Comul(n, a.mul.map.transpose())
+    counit = Covec(n, a.unit.map.transpose()) if a.unit is not None else None
     return Coalgebra(n, comul, a.beta.transpose(), a.alpha.transpose(), counit)
 
 
@@ -191,14 +179,14 @@ def aug_tensor_product(x: Augmented, y: Augmented) -> tuple[Algebra, Augmented]:
     na, nb = a_alg.dim, b_alg.dim
     dim = na * nb
     w = x.weight
-    chi_a, chi_b = counit_map(x.chi), counit_map(y.chi)
-    left = endo_map(a_alg.alpha).tensor(chi_a)     # a (x) a' -> chi_A(a') alpha_A(a)
-    right = chi_b.tensor(endo_map(b_alg.beta))     # b (x) b' -> chi_B(b) beta_B(b')
-    mul = _as_mul((mul_map(a_alg.mul).tensor(right) + left.tensor(mul_map(b_alg.mul))
+    chi_a, chi_b = x.chi.map, y.chi.map
+    left = a_alg.alpha.map.tensor(chi_a)     # a (x) a' -> chi_A(a') alpha_A(a)
+    right = chi_b.tensor(b_alg.beta.map)     # b (x) b' -> chi_B(b) beta_B(b')
+    mul = Mul(dim, (a_alg.mul.map.tensor(right) + left.tensor(b_alg.mul.map)
                    + left.tensor(right).scale(w)).permute_cols((na, nb, na, nb), (0, 2, 1, 3)))
     alpha = endo_tensor(a_alg.alpha, b_alg.alpha)
     beta = endo_tensor(a_alg.beta, b_alg.beta)
-    chi = Covec(dim, chi_a.tensor(chi_b).a[0])
+    chi = Covec(dim, chi_a.tensor(chi_b))
     algebra = Algebra(dim, mul, alpha, beta, unit=None)
     return algebra, Augmented(algebra, chi, w)
 
@@ -211,14 +199,14 @@ def coaug_tensor_product(x: Coaugmented, y: Coaugmented) -> tuple[Coalgebra, Coa
     nc, nd = c_co.dim, d_co.dim
     dim = nc * nd
     w = x.weight
-    zeta_c, zeta_d = unit_map(x.zeta), unit_map(y.zeta)
-    left = endo_map(c_co.omega).tensor(zeta_c)     # c -> omega_C(c) (x) 1_C
-    right = zeta_d.tensor(endo_map(d_co.psi))      # d -> 1_D (x) psi_D(d)
-    comul = _as_comul((comul_map(c_co.comul).tensor(right) + left.tensor(comul_map(d_co.comul))
+    zeta_c, zeta_d = x.zeta.map, y.zeta.map
+    left = c_co.omega.map.tensor(zeta_c)     # c -> omega_C(c) (x) 1_C
+    right = zeta_d.tensor(d_co.psi.map)      # d -> 1_D (x) psi_D(d)
+    comul = Comul(dim, (c_co.comul.map.tensor(right) + left.tensor(d_co.comul.map)
                        + left.tensor(right).scale(w)).permute_rows((nc, nc, nd, nd), (0, 2, 1, 3)))
     psi = endo_tensor(c_co.psi, d_co.psi)
     omega = endo_tensor(c_co.omega, d_co.omega)
-    zeta = Vec(dim, zeta_c.tensor(zeta_d).column(0))
+    zeta = Vec(dim, zeta_c.tensor(zeta_d))
     coalgebra = Coalgebra(dim, comul, psi, omega, counit=None)
     return coalgebra, Coaugmented(coalgebra, zeta, w)
 
@@ -234,9 +222,9 @@ def check_delta_morphism(b: Bialgebra) -> axioms.Report:
     n = b.dim
     aug = Augmented(b.algebra, b.coalgebra.counit, b.weight)
     square, _ = aug_tensor_product(aug, aug)
-    de = comul_map(b.coalgebra.comul)
-    lhs = de @ mul_map(b.algebra.mul)
-    rhs = mul_map(square.mul) @ de.tensor(de)
+    de = b.coalgebra.comul.map
+    lhs = de @ b.algebra.mul.map
+    rhs = square.mul.map @ de.tensor(de)
     return axioms._report(axioms.compare_maps(
         "(T2.21a)", lhs, rhs, (n, n), (n, n), ("e", "e")))
 
@@ -248,9 +236,9 @@ def check_mu_comorphism(b: Bialgebra) -> axioms.Report:
     n = b.dim
     coaug = Coaugmented(b.coalgebra, b.algebra.unit, b.weight)
     square, _ = coaug_tensor_product(coaug, coaug)
-    mu = mul_map(b.algebra.mul)
-    lhs = comul_map(b.coalgebra.comul) @ mu
-    rhs = mu.tensor(mu) @ comul_map(square.comul)
+    mu = b.algebra.mul.map
+    lhs = b.coalgebra.comul.map @ mu
+    rhs = mu.tensor(mu) @ square.comul.map
     return axioms._report(axioms.compare_maps(
         "(T2.21b)", lhs, rhs, (n, n), (n, n), ("e", "e")))
 
@@ -263,9 +251,8 @@ def _check_r_preconditions(a: Algebra, psi: Endo, omega: Endo, r: Elem2):
     if r.dim != a.dim:
         raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
     _check_unital_twist_compat(a, psi, omega)
-    flat = elem2_flat(r)
     for f, name in ((a.alpha, "alpha"), (a.beta, "beta"), (psi, "psi"), (omega, "omega")):
-        if square_map(f).apply_flat(flat) != flat:  # (f (x) f)(r) = r
+        if square_map(f) @ r.map != r.map:  # (f (x) f)(r) = r
             raise NotInvariant(f"r is not {name}-invariant")
 
 
@@ -280,7 +267,7 @@ def delta_r(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     """
     weight = Q(weight)
     _check_r_preconditions(a, psi, omega, r)
-    comul = _as_comul(_delta_r_map(a, psi, omega, r, weight, anti))
+    comul = Comul(a.dim, _delta_r_map(a, psi, omega, r, weight, anti))
     return Bialgebra(a, Coalgebra(a.dim, comul, psi, omega, counit=None), weight)
 
 
@@ -292,11 +279,11 @@ def _delta_r_map(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight: Q,
         (mu (x) beta)(omega alphainv (x) r) - (alpha (x) mu)(r (x) psi betainv)
         - weight * (omega (x) eta)          (anti: weight * (eta (x) psi))
     """
-    alpha_inv = endo_map(endo_inverse(a.alpha))
-    beta_inv = endo_map(endo_inverse(a.beta))
-    r_map = elem_map(elem2_flat(r))
-    eta = unit_map(a.unit)
-    tail = eta.tensor(endo_map(psi)) if anti else endo_map(omega).tensor(eta)
+    alpha_inv = endo_inverse(a.alpha).map
+    beta_inv = endo_inverse(a.beta).map
+    r_map = r.map
+    eta = a.unit.map
+    tail = eta.tensor(psi.map) if anti else omega.map.tensor(eta)
     return (twisted_left_action(a, omega, r_map, 2) @ alpha_inv
             - twisted_right_action(a, psi, r_map, 2) @ beta_inv
             - tail.scale(weight))
@@ -317,7 +304,7 @@ def mu_sigma(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
     for f, name in ((alpha, "alpha"), (beta, "beta"), (c.psi, "psi"), (c.omega, "omega")):
         if not biform_invariant_under(f, sigma):
             raise NotInvariant(f"sigma is not {name}-invariant")
-    mul = _as_mul(_mu_sigma_map(c, alpha, beta, sigma, weight, anti))
+    mul = Mul(c.dim, _mu_sigma_map(c, alpha, beta, sigma, weight, anti))
     return Bialgebra(Algebra(c.dim, mul, alpha, beta, unit=None), c, weight)
 
 
@@ -331,12 +318,12 @@ def _mu_sigma_map(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
     """
     omega_inv = endo_inverse(c.omega)
     psi_inv = endo_inverse(c.psi)
-    de = comul_map(c.comul)
-    sig = biform_map(sigma)
-    eps = counit_map(c.counit)
-    tail = eps.tensor(endo_map(beta)) if anti else endo_map(alpha).tensor(eps)
-    return (endo_map(alpha @ omega_inv).tensor(sig) @ de.tensor(endo_map(c.psi))
-            - sig.tensor(endo_map(beta @ psi_inv)) @ endo_map(c.omega).tensor(de)
+    de = c.comul.map
+    sig = sigma.map
+    eps = c.counit.map
+    tail = eps.tensor(beta.map) if anti else alpha.map.tensor(eps)
+    return ((alpha @ omega_inv).map.tensor(sig) @ de.tensor(c.psi.map)
+            - sig.tensor((beta @ psi_inv).map) @ c.omega.map.tensor(de)
             - tail.scale(weight))
 
 
@@ -403,32 +390,32 @@ def hopf_module_free(b: Bialgebra, v_dim: int, alpha_v: Endo, beta_v: Endo,
 
     nv = v_dim
     dim = na * nv
-    mu, de = mul_map(a_.mul), comul_map(c_.comul)
+    mu, de = a_.mul.map, c_.comul.map
     ident_v = LinMap.identity(nv)
 
     # left action on A (x) V
-    act = mu.tensor(endo_map(beta_v))
+    act = mu.tensor(beta_v.map)
     if variant == "counital":
-        act = act + (endo_map(a_.alpha).tensor(counit_map(c_.counit))
-                     .tensor(endo_map(beta_v)).scale(b.weight))
-    if variant == "module_w0" and any(c_.counit.coeffs):  # a zero counit adds nothing
-        act = act + (endo_map(a_.alpha @ endo_inverse(c_.omega))
-                     .tensor(action_map(extra.action, na, nv))
-                     @ de.tensor(counit_map(c_.counit)).tensor(ident_v))
+        act = act + (a_.alpha.map.tensor(c_.counit.map)
+                     .tensor(beta_v.map).scale(b.weight))
+    if variant == "module_w0" and c_.counit.map != LinMap.zero(1, na):  # a zero counit adds nothing
+        act = act + ((a_.alpha @ endo_inverse(c_.omega)).map
+                     .tensor(extra.action)
+                     @ de.tensor(c_.counit.map).tensor(ident_v))
 
     # left coaction on A (x) V
-    coact = de.tensor(endo_map(psi_v))
+    coact = de.tensor(psi_v.map)
     if variant == "unital":
-        coact = coact + (endo_map(c_.omega).tensor(unit_map(a_.unit))
-                         .tensor(endo_map(psi_v)).scale(b.weight))
+        coact = coact + (c_.omega.map.tensor(a_.unit.map)
+                         .tensor(psi_v.map).scale(b.weight))
     if variant == "comodule_w0":
-        coact = coact + (mu.tensor(unit_map(a_.unit)).tensor(ident_v)
-                         @ endo_map(c_.omega @ endo_inverse(a_.alpha))
-                         .tensor(coaction_map(extra.coaction, nv, na)))
+        coact = coact + (mu.tensor(a_.unit.map).tensor(ident_v)
+                         @ (c_.omega @ endo_inverse(a_.alpha)).map
+                         .tensor(extra.coaction))
 
-    module = LeftModule(a_, dim, action_table(act, na, dim),
+    module = LeftModule(a_, dim, act,
                         endo_tensor(a_.alpha, alpha_v), endo_tensor(a_.beta, beta_v))
-    comodule = LeftComodule(c_, dim, coaction_table(coact, na, dim),
+    comodule = LeftComodule(c_, dim, coact,
                             endo_tensor(c_.psi, psi_v), endo_tensor(c_.omega, omega_v))
     return HopfModule(b, module, comodule)
 
@@ -444,7 +431,6 @@ def hopf_module_from_qt(b: Bialgebra, r: Elem2, module: LeftModule,
     from . import ybe as ybe_mod
 
     a_ = b.algebra
-    n = b.dim
     if module.over != a_:
         raise PreconditionFailed("module is not over the bialgebra's algebra")
     expected = delta_r(a_, b.coalgebra.psi, b.coalgebra.omega, r, b.weight, anti=anti)
@@ -461,17 +447,17 @@ def hopf_module_from_qt(b: Bialgebra, r: Elem2, module: LeftModule,
     nm = module.dim
     _pairwise_commuting({"alpha_m": module.alpha_m, "beta_m": module.beta_m,
                          "psi_m": psi_m, "omega_m": omega_m})
-    gam = action_map(module.action, n, nm)
+    gam = module.action
     for f_m, f_a, name in ((psi_m, b.coalgebra.psi, "psi"), (omega_m, b.coalgebra.omega, "omega")):
-        fm = endo_map(f_m)
-        if fm @ gam != gam @ endo_map(f_a).tensor(fm):
+        fm = f_m.map
+        if fm @ gam != gam @ f_a.map.tensor(fm):
             raise PreconditionFailed(f"{name} maps do not intertwine the action")
 
-    coact = (endo_map(a_.alpha).tensor(gam)
-             @ elem_map(elem2_flat(r)).tensor(endo_map(psi_m @ beta_m_inv))).scale(-1)
+    coact = (a_.alpha.map.tensor(gam)
+             @ r.map.tensor((psi_m @ beta_m_inv).map)).scale(-1)
     if anti:
-        coact = coact - unit_map(a_.unit).tensor(endo_map(psi_m)).scale(b.weight)
-    comodule = LeftComodule(b.coalgebra, nm, coaction_table(coact, n, nm),
+        coact = coact - a_.unit.map.tensor(psi_m.map).scale(b.weight)
+    comodule = LeftComodule(b.coalgebra, nm, coact,
                             psi_m, omega_m)
     return HopfModule(b, module, comodule)
 
@@ -486,7 +472,6 @@ def hopf_module_from_coqt(b: Bialgebra, sigma: BiForm, comodule: LeftComodule,
     from . import ybe as ybe_mod
 
     c_ = b.coalgebra
-    n = b.dim
     if comodule.over != c_:
         raise PreconditionFailed("comodule is not over the bialgebra's coalgebra")
     expected = mu_sigma(c_, b.algebra.alpha, b.algebra.beta, sigma, b.weight, anti=anti)
@@ -503,17 +488,17 @@ def hopf_module_from_coqt(b: Bialgebra, sigma: BiForm, comodule: LeftComodule,
     nm = comodule.dim
     _pairwise_commuting({"alpha_m": alpha_m, "beta_m": beta_m,
                          "psi_m": comodule.psi_m, "omega_m": comodule.omega_m})
-    rho = coaction_map(comodule.coaction, nm, n)
+    rho = comodule.coaction
     for f_m, f_a, name in ((alpha_m, b.algebra.alpha, "alpha"), (beta_m, b.algebra.beta, "beta")):
-        fm, fa = endo_map(f_m), endo_map(f_a)
+        fm, fa = f_m.map, f_a.map
         if rho @ fm != fa.tensor(fm) @ rho:
             raise PreconditionFailed(f"{name} maps do not intertwine the coaction")
 
-    sig = biform_map(sigma)
-    act = (sig.tensor(endo_map(beta_m @ psi_m_inv)) @ endo_map(c_.omega).tensor(rho)).scale(-1)
+    sig = sigma.map
+    act = (sig.tensor((beta_m @ psi_m_inv).map) @ c_.omega.map.tensor(rho)).scale(-1)
     if anti:
-        act = act - counit_map(c_.counit).tensor(endo_map(beta_m)).scale(b.weight)
-    module = LeftModule(b.algebra, nm, action_table(act, n, nm),
+        act = act - c_.counit.map.tensor(beta_m.map).scale(b.weight)
+    module = LeftModule(b.algebra, nm, act,
                         alpha_m, beta_m)
     return HopfModule(b, module, comodule)
 
@@ -542,16 +527,16 @@ def rota_baxter_from_r(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     if not report.is_solution:
         raise NotYBESolution(f"r does not solve the ({sign}weight) residual")
     n = a.dim
-    lead = endo_map((a.beta @ a.beta) @ psi)
-    inner = endo_map(endo_inverse(a.alpha) @ endo_inverse(a.beta))
-    tail = endo_map(a.alpha @ omega)
-    mu = mul_map(a.mul)
+    lead = ((a.beta @ a.beta) @ psi).map
+    inner = (endo_inverse(a.alpha) @ endo_inverse(a.beta)).map
+    tail = (a.alpha @ omega).map
+    mu = a.mul.map
     # x -> r1 (x) inner(x) (x) r2 -> lead(r1) . (inner(x) . tail(r2))
     op = (mu @ lead.tensor(mu @ LinMap.identity(n).tensor(tail))
-          @ elem_map(elem2_flat(r)).tensor(inner).permute_rows((n, n, n), (0, 2, 1)))
+          @ r.map.tensor(inner).permute_rows((n, n, n), (0, 2, 1)))
     if sign == "+":
         op = op.scale(-1)
-    return RotaBaxter(a, Endo(n, op.a), weight)
+    return RotaBaxter(a, Endo(n, op), weight)
 
 
 def dendriform_from_rb(rb: RotaBaxter, variant: str = "prec") -> Dendriform:
@@ -564,11 +549,11 @@ def dendriform_from_rb(rb: RotaBaxter, variant: str = "prec") -> Dendriform:
         raise ValueError(f"variant must be 'prec' or 'succ', got {variant!r}")
     a = rb.algebra
     n = a.dim
-    mu, op, ident = mul_map(a.mul), endo_map(rb.op), LinMap.identity(n)
+    mu, op, ident = a.mul.map, rb.op.map, LinMap.identity(n)
     x_ry, rx_y, xy = mu @ ident.tensor(op), mu @ op.tensor(ident), mu.scale(rb.weight)
     prec = x_ry + xy if variant == "prec" else x_ry
     succ = rx_y if variant == "prec" else rx_y + xy
-    return Dendriform(n, _as_mul(prec), _as_mul(succ), a.alpha, a.beta)
+    return Dendriform(n, Mul(n, prec), Mul(n, succ), a.alpha, a.beta)
 
 
 def dendriform_from_qt(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
@@ -581,12 +566,12 @@ def dendriform_from_qt(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
 def _prelie_star(b: Bialgebra, lead: Endo, mid: Endo, tail: Endo) -> Mul:
     """x * y = (lead(y_1) . mid(x)) . tail(y_2) as a product tensor."""
     n = b.dim
-    mu = mul_map(b.algebra.mul)
-    first = mu @ endo_map(lead).tensor(endo_map(mid))
+    mu = b.algebra.mul.map
+    first = mu @ lead.map.tensor(mid.map)
     # legs (x, y_1, y_2) -> A; Delta on the last leg by contracting the
     # reshaped (out, x) x (y_1, y_2) map with Delta, i.e. h @ (id (x) Delta)
-    h = (mu @ first.tensor(endo_map(tail))).permute_cols((n, n, n), (1, 0, 2))
-    return _as_mul((h.reshape(n * n, n * n) @ comul_map(b.coalgebra.comul)).reshape(n, n * n))
+    h = (mu @ first.tensor(tail.map)).permute_cols((n, n, n), (1, 0, 2))
+    return Mul(n, (h.reshape(n * n, n * n) @ b.coalgebra.comul.map).reshape(n, n * n))
 
 
 def prelie_from_bialgebra(b: Bialgebra) -> PreLie:
@@ -638,12 +623,12 @@ def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
         tail_map = endo_inverse(a_.beta)
         psi_out = c_.psi
         omega_out = c_.omega
-    de = comul_map(c_.comul)
-    right = mul_map(a_.mul) @ endo_map(lead_map).tensor(endo_map(tail_map))
+    de = c_.comul.map
+    right = a_.mul.map @ lead_map.map.tensor(tail_map.map)
     # (Delta (x) id) Delta is Delta after Delta's table read as the n x n^2 matrix
     # [c_1][(c_2, c)]; with its legs as (c_11, c_2, c_12), right acts on the first
     # two and first on the last, then the legs swap: first(c_12) (x) right(c_11, c_2)
     twice = (de @ de.reshape(n, n * n)).reshape(n ** 3, n).permute_rows((n, n, n), (0, 2, 1))
     acted = (right @ twice.reshape(n * n, n * n)).reshape(n * n, n)
-    delta = (LinMap.identity(n).tensor(endo_map(first_map)) @ acted).permute_rows((n, n), (1, 0))
-    return PreLieCoalgebra(n, _as_comul(delta), psi_out, omega_out)
+    delta = (LinMap.identity(n).tensor(first_map.map) @ acted).permute_rows((n, n), (1, 0))
+    return PreLieCoalgebra(n, Comul(n, delta), psi_out, omega_out)

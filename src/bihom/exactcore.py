@@ -1,7 +1,8 @@
 """Exact rational tensor kernel.
 
-Basis-indexed vectors, functionals, endomorphisms, rank-2/3 structure
-tensors and the dense contraction primitives every other module consumes.
+Basis-indexed vectors, functionals, endomorphisms and rank-2/3 structure
+tensors, each stored as the exact linear map (LinMap) the checkers and
+constructions compose, and the sparse LinMap kernel itself.
 
 Conventions, fixed once for the whole package:
 
@@ -14,7 +15,10 @@ Conventions, fixed once for the whole package:
 * a comultiplication tensor ``d`` means
   ``D(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k``;
 * tensor legs pair row-major: the flat index of ``e_i (x) e_j`` on a
-  product of spaces of dimensions (m, n) is ``i*n + j``.
+  product of spaces of dimensions (m, n) is ``i*n + j``;
+* a record's ``map`` is its tensor as a map between tensor powers: mu is
+  A (x) A -> A, Delta is A -> A (x) A, a vector K -> A, a functional
+  A -> K; ``c``, ``d``, ``entries`` and the like are read-only dense views.
 
 Everything is immutable after construction and safe to share.
 """
@@ -23,10 +27,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
 
@@ -57,61 +62,105 @@ def _coerce(values: Iterable) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# basic carriers
+# tables as maps: a table on legs of dimensions dims is stored as the map
+# onto its legs target (in order) from its other legs (in order), each side
+# flat row-major; mu's table c[i][j][k] on target (2,) is the map A (x) A -> A
 
 
-@dataclass(frozen=True)
-class Vec:
+def _cell(idx: Sequence[int], dims: Sequence[int], target: Sequence[int]) -> tuple[int, int]:
+    """The (row, column) of the map that holds the table cell idx."""
+    row = col = 0
+    for leg, (i, d) in enumerate(zip(idx, dims)):
+        if leg in target:
+            row = row * d + i
+        else:
+            col = col * d + i
+    return row, col
+
+
+def _flatten(table, dims: Sequence[int], what: str) -> list:
+    if not dims:
+        return [table]
+    if not isinstance(table, (list, tuple)) or len(table) != dims[0]:
+        raise DimensionMismatch(f"{what} table has wrong shape")
+    return [x for part in table for x in _flatten(part, dims[1:], what)]
+
+
+def table_map(table, dims: Sequence[int], target: Sequence[int], what: str) -> "LinMap":
+    """A table on legs dims as its map onto the legs target: a LinMap of that
+    shape as it is, a dict of {index tuple: value} cells (indices in range),
+    or a dense nested table. Any other shape raises DimensionMismatch."""
+    rows = math.prod(dims[t] for t in target)
+    cols = math.prod(dims) // rows
+    if not isinstance(table, LinMap):
+        if not isinstance(table, dict):
+            table = dict(zip(itertools.product(*map(range, dims)), _flatten(table, dims, what)))
+        table = LinMap._from_nonzeros(rows, cols, _gather(rows, sorted(
+            (*_cell(idx, dims, target), v if type(v) is Q else Q(v))
+            for idx, v in table.items() if v)))
+    if (table.rows, table.cols) != (rows, cols):
+        raise DimensionMismatch(f"{what} needs a {rows}x{cols} map, got {table.rows}x{table.cols}")
+    return table
+
+
+def table_entries(m: "LinMap", dims: Sequence[int], target: Sequence[int]) -> list:
+    """The nonzero cells of a map laid out as in table_map, as (index tuple,
+    value) pairs in index order."""
+    source = [leg for leg in range(len(dims)) if leg not in target]
+    out = []
+    for row, (cs, vs) in enumerate(m.nonzeros):
+        for col, v in zip(cs, vs):
+            idx = [0] * len(dims)
+            for legs, flat in ((target, row), (source, col)):
+                for leg in reversed(legs):
+                    flat, idx[leg] = divmod(flat, dims[leg])
+            out.append((tuple(idx), v))
+    return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# structure records
+
+
+@dataclass(frozen=True, init=False)
+class _Tensor:
+    """A tensor whose legs all have dimension dim, stored as the map the
+    checkers compose (table_map's layout for the class's legs and target).
+    The constructor takes that map, a dict of {index tuple: value} cells or
+    the dense nested table in the subclass's docstring."""
+
+    legs: ClassVar[int]
+    target: ClassVar[tuple[int, ...]]
     dim: int
-    coeffs: tuple[Q, ...]
+    map: LinMap
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
-        if len(self.coeffs) != self.dim:
-            raise DimensionMismatch(f"vector of length {len(self.coeffs)} on dim {self.dim}")
+    def __init__(self, dim: int, table):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "map", table_map(table, (dim,) * self.legs, self.target,
+                                                  type(self).__name__))
 
-    @staticmethod
-    def zero(dim: int) -> "Vec":
-        return Vec(dim, (ZERO,) * dim)
+    @classmethod
+    def zero(cls, dim: int):
+        rows = dim ** len(cls.target)
+        return cls(dim, LinMap.zero(rows, dim ** cls.legs // rows))
 
-    @staticmethod
-    def basis(dim: int, i: int) -> "Vec":
-        return Vec(dim, tuple(ONE if j == i else ZERO for j in range(dim)))
+    def __add__(self, other):
+        return type(self)(self.dim, self.map + other.map)
 
-    def __add__(self, other: "Vec") -> "Vec":
-        _same_dim(self, other)
-        return Vec(self.dim, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __sub__(self, other):
+        return type(self)(self.dim, self.map - other.map)
 
-    def __sub__(self, other: "Vec") -> "Vec":
-        _same_dim(self, other)
-        return Vec(self.dim, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+    def scale(self, s):
+        return type(self)(self.dim, self.map.scale(s))
 
-    def __neg__(self) -> "Vec":
-        return Vec(self.dim, tuple(-a for a in self.coeffs))
-
-    def scale(self, s) -> "Vec":
-        s = Q(s)
-        return Vec(self.dim, tuple(s * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
-
-@dataclass(frozen=True)
-class Covec:
-    """A linear functional, stored by its values on the basis."""
-
-    dim: int
-    coeffs: tuple[Q, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _coerce(self.coeffs))
-        if len(self.coeffs) != self.dim:
-            raise DimensionMismatch(f"covector of length {len(self.coeffs)} on dim {self.dim}")
-
-    def __call__(self, v: Vec) -> Q:
-        _same_dim(self, v)
-        return sum((c * x for c, x in zip(self.coeffs, v.coeffs)), ZERO)
+    def _dense(self) -> tuple:
+        """The dense nested table, a read-only view for readers of tables."""
+        dims = (self.dim,) * self.legs
+        cells = dict(table_entries(self.map, dims, self.target))
+        flat = [cells.get(idx, ZERO) for idx in itertools.product(*map(range, dims))]
+        for d in dims[:0:-1]:     # group the last leg first
+            flat = [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
+        return tuple(flat)
 
 
 def _same_dim(a, b):
@@ -119,43 +168,56 @@ def _same_dim(a, b):
         raise DimensionMismatch(f"dim {a.dim} vs dim {b.dim}")
 
 
-@dataclass(frozen=True)
-class Endo:
-    """A linear endomorphism; column j holds the image of e_j."""
+class Vec(_Tensor):
+    """A vector sum coeffs[i] e_i, as the map K -> A."""
 
-    dim: int
-    entries: tuple[tuple[Q, ...], ...]
+    legs, target = 1, (0,)
+    coeffs = property(_Tensor._dense)
 
-    def __post_init__(self):
-        rows = tuple(_coerce(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise DimensionMismatch(f"{len(rows)} rows on dim {self.dim}")
+    @staticmethod
+    def basis(dim: int, i: int) -> "Vec":
+        return Vec(dim, {(i,): ONE})
+
+
+class Covec(_Tensor):
+    """A linear functional with values coeffs[i] on the basis, as A -> K."""
+
+    legs, target = 1, ()
+    coeffs = property(_Tensor._dense)
+
+    def __call__(self, v: Vec) -> Q:
+        _same_dim(self, v)
+        return (self.map @ v.map).a[0][0]
+
+
+class Endo(_Tensor):
+    """A linear endomorphism; column j of entries holds the image of e_j."""
+
+    legs, target = 2, (0,)
+    entries = property(_Tensor._dense)
 
     @staticmethod
     def identity(dim: int) -> "Endo":
-        return Endo(dim, tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)))
+        return Endo(dim, LinMap.identity(dim))
 
     @staticmethod
     def diagonal(diag: Sequence) -> "Endo":
-        d = _coerce(diag)
-        n = len(d)
-        return Endo(n, tuple(tuple(d[i] if i == j else ZERO for j in range(n)) for i in range(n)))
+        return Endo(len(diag), {(i, i): x for i, x in enumerate(diag)})
 
     def __call__(self, v: Vec) -> Vec:
         _same_dim(self, v)
-        return Vec(self.dim, endo_map(self).apply_flat(v.coeffs))
+        return Vec(self.dim, self.map @ v.map)
 
     def __matmul__(self, other: "Endo") -> "Endo":
         """Composition self o other."""
         _same_dim(self, other)
-        return Endo(self.dim, (endo_map(self) @ endo_map(other)).a)
+        return Endo(self.dim, self.map @ other.map)
 
     def transpose(self) -> "Endo":
-        return Endo(self.dim, endo_map(self).transpose().a)
+        return Endo(self.dim, self.map.transpose())
 
     def is_identity(self) -> bool:
-        return self == Endo.identity(self.dim)
+        return self.map == LinMap.identity(self.dim)
 
     def commutes_with(self, other: "Endo") -> bool:
         return self @ other == other @ self
@@ -164,7 +226,7 @@ class Endo:
 def endo_inverse(f: Endo) -> Endo:
     """Exact inverse by Gauss-Jordan elimination; raises SingularMap."""
     n = f.dim
-    aug = [list(f.entries[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    aug = [list(f.map.a[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -187,127 +249,49 @@ def endo_is_invertible(f: Endo) -> bool:
         return False
 
 
-# ---------------------------------------------------------------------------
-# structure tensors
+class Mul(_Tensor):
+    """Multiplication structure constants e_i . e_j = sum_k c[i][j][k] e_k,
+    as mu: A (x) A -> A."""
+
+    legs, target = 3, (2,)
+    c = property(_Tensor._dense)
 
 
-@dataclass(frozen=True)
-class Mul:
-    """Multiplication structure constants: e_i . e_j = sum_k c[i][j][k] e_k."""
+class Comul(_Tensor):
+    """Comultiplication constants D(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k,
+    as Delta: A -> A (x) A."""
 
-    dim: int
-    c: tuple[tuple[tuple[Q, ...], ...], ...]
-
-    def __post_init__(self):
-        cube = tuple(tuple(_coerce(row) for row in plane) for plane in self.c)
-        object.__setattr__(self, "c", cube)
-        n = self.dim
-        if len(cube) != n or any(len(p) != n for p in cube) or any(len(r) != n for p in cube for r in p):
-            raise DimensionMismatch("multiplication tensor is not cubic")
-
-    @staticmethod
-    def zero(dim: int) -> "Mul":
-        return Mul(dim, (((ZERO,) * dim,) * dim,) * dim)
-
-    def __add__(self, other: "Mul") -> "Mul":
-        _same_dim(self, other)
-        return Mul(self.dim, action_table(mul_map(self) + mul_map(other), self.dim, self.dim))
+    legs, target = 3, (1, 2)
+    d = property(_Tensor._dense)
 
 
-@dataclass(frozen=True)
-class Comul:
-    """Comultiplication constants: D(e_i) = sum_{j,k} d[i][j][k] e_j (x) e_k."""
+class Elem2(_Tensor):
+    """An element r = sum m[i][j] e_i (x) e_j of A (x) A, as K -> A (x) A."""
 
-    dim: int
-    d: tuple[tuple[tuple[Q, ...], ...], ...]
-
-    def __post_init__(self):
-        cube = tuple(tuple(_coerce(row) for row in plane) for plane in self.d)
-        object.__setattr__(self, "d", cube)
-        n = self.dim
-        if len(cube) != n or any(len(p) != n for p in cube) or any(len(r) != n for p in cube for r in p):
-            raise DimensionMismatch("comultiplication tensor is not cubic")
-
-    @staticmethod
-    def zero(dim: int) -> "Comul":
-        return Comul(dim, (((ZERO,) * dim,) * dim,) * dim)
+    legs, target = 2, (0, 1)
+    m = property(_Tensor._dense)
 
 
-@dataclass(frozen=True)
-class Elem2:
-    """An element r = sum m[i][j] e_i (x) e_j of A (x) A."""
+class Elem3(_Tensor):
+    """An element sum t[i][j][k] e_i (x) e_j (x) e_k of A (x) A (x) A, as
+    K -> A (x) A (x) A."""
 
-    dim: int
-    m: tuple[tuple[Q, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(_coerce(row) for row in self.m)
-        object.__setattr__(self, "m", rows)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise DimensionMismatch("Elem2 matrix is not square of side dim")
-
-    @staticmethod
-    def zero(dim: int) -> "Elem2":
-        return Elem2(dim, ((ZERO,) * dim,) * dim)
-
-    def __add__(self, other: "Elem2") -> "Elem2":
-        _same_dim(self, other)
-        return Elem2(self.dim, tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.m, other.m)))
-
-    def __sub__(self, other: "Elem2") -> "Elem2":
-        _same_dim(self, other)
-        return Elem2(self.dim, tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.m, other.m)))
-
-    def __neg__(self) -> "Elem2":
-        return Elem2(self.dim, tuple(tuple(-a for a in r) for r in self.m))
-
-    def scale(self, s) -> "Elem2":
-        s = Q(s)
-        return Elem2(self.dim, tuple(tuple(s * a for a in r) for r in self.m))
+    legs, target = 3, (0, 1, 2)
+    t = property(_Tensor._dense)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.m for a in r)
+        return not any(self.map.column(0))
 
 
-@dataclass(frozen=True)
-class Elem3:
-    """An element of A (x) A (x) A over a triple tensor basis."""
+class BiForm(_Tensor):
+    """A bilinear functional s[i][j] = sigma(e_i, e_j), as A (x) A -> K."""
 
-    dim: int
-    t: tuple[tuple[tuple[Q, ...], ...], ...]
-
-    def __post_init__(self):
-        cube = tuple(tuple(_coerce(row) for row in plane) for plane in self.t)
-        object.__setattr__(self, "t", cube)
-        n = self.dim
-        if len(cube) != n or any(len(p) != n for p in cube) or any(len(r) != n for p in cube for r in p):
-            raise DimensionMismatch("Elem3 tensor is not cubic of side dim")
-
-    @staticmethod
-    def zero(dim: int) -> "Elem3":
-        return Elem3(dim, (((ZERO,) * dim,) * dim,) * dim)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for p in self.t for r in p for x in r)
-
-
-@dataclass(frozen=True)
-class BiForm:
-    """A bilinear functional on A (x) A: s[i][j] = sigma(e_i, e_j)."""
-
-    dim: int
-    s: tuple[tuple[Q, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(_coerce(row) for row in self.s)
-        object.__setattr__(self, "s", rows)
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise DimensionMismatch("BiForm matrix is not square of side dim")
+    legs, target = 2, ()
 
     def __call__(self, a: Vec, b: Vec) -> Q:
         _same_dim(self, a)
         _same_dim(a, b)
-        return biform_map(self).apply_flat(outer_flat(a.coeffs, b.coeffs))[0]
+        return (self.map @ a.map.tensor(b.map)).a[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +302,28 @@ def mul_apply(m: Mul, a: Vec, b: Vec) -> Vec:
     """Bilinear product sum a_i b_j c[i][j][k] e_k."""
     _same_dim(m, a)
     _same_dim(a, b)
-    return Vec(m.dim, mul_map(m).apply_flat(outer_flat(a.coeffs, b.coeffs)))
+    return Vec(m.dim, m.map @ a.map.tensor(b.map))
 
 
 def comul_apply(d: Comul, a: Vec) -> Elem2:
     """Linear extension of the coproduct to a, as an Elem2."""
     _same_dim(d, a)
-    return Elem2(d.dim, (comul_map(d) @ elem_map(a.coeffs)).reshape(d.dim, d.dim).a)
+    return Elem2(d.dim, d.map @ a.map)
 
 
 def tensor_vv(a: Vec, b: Vec) -> Elem2:
     _same_dim(a, b)
-    return Elem2(a.dim, form_map(outer_flat(a.coeffs, b.coeffs)).reshape(a.dim, a.dim).a)
+    return Elem2(a.dim, a.map.tensor(b.map))
 
 
 def square_map(f: Endo) -> LinMap:
     """f (x) f on A (x) A."""
-    fm = endo_map(f)
-    return fm.tensor(fm)
+    return f.map.tensor(f.map)
 
 
 def biform_invariant_under(f: Endo, s: BiForm) -> bool:
     """f-invariance of a bilinear form: sigma o (f (x) f) = sigma."""
-    sig = biform_map(s)
-    return sig @ square_map(f) == sig
+    return s.map @ square_map(f) == s.map
 
 
 ELEM3_KINDS = ("r13r12", "r12r23", "r23r13", "r13", "r12", "r23")
@@ -367,8 +349,8 @@ def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo
     single r goes through elem3_build instead."""
     _elem3_check(kind, m, (alpha, beta, psi, omega), unit)
     n = m.dim
-    i1, mu = LinMap.identity(n), mul_map(m)
-    al, be, ps, om = map(endo_map, (alpha, beta, psi, omega))
+    i1, mu = LinMap.identity(n), m.map
+    al, be, ps, om = (f.map for f in (alpha, beta, psi, omega))
     legs = ((n,) * 4, (0, 2, 3, 1))
     if kind == "r12r23":
         return al.tensor(mu).tensor(be)
@@ -376,7 +358,7 @@ def elem3_map(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: Endo
         return (mu @ om.tensor(i1)).tensor(be).tensor(al @ ps).permute_cols(*legs)
     if kind == "r23r13":
         return (be @ om).tensor(al).tensor(mu @ i1.tensor(ps)).permute_cols(*legs)
-    u = unit_map(unit)
+    u = unit.map
     if kind == "r13":
         return om.tensor(u).tensor(ps)
     if kind == "r12":
@@ -416,11 +398,10 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
     _same_dim(m, rbar)
     n = m.dim
     if kind not in _ELEM3_PRODUCTS:   # a linear kind: its map has n^5 cells
-        return flat_elem3(elem3_map(kind, m, alpha, beta, psi, omega, unit)
-                          .apply_flat(elem2_flat(r)), n)
-    mu, al, be, ps, om = mul_map(m), *map(endo_map, (alpha, beta, psi, omega))
+        return Elem3(n, elem3_map(kind, m, alpha, beta, psi, omega, unit) @ r.map)
+    mu, al, be, ps, om = (x.map for x in (m, alpha, beta, psi, omega))
     legs = (n,) * 3
-    rm, rb = LinMap._exact(n, n, r.m), LinMap._exact(n, n, rbar.m)
+    rm, rb = r.map.reshape(n, n), rbar.map.reshape(n, n)
     if kind == "r12r23":
         flat = _sandwich(al @ rm, mu, rb @ be.transpose())
     elif kind == "r13r12":     # sandwich legs (alpha psi(r2), product, beta(rb2))
@@ -429,7 +410,7 @@ def elem3_build(kind: str, m: Mul, alpha: Endo, beta: Endo, psi: Endo, omega: En
     else:                      # sandwich legs (alpha(rb1), product, beta omega(r1))
         flat = _sandwich(al @ rb, mu,
                          ps @ rm.transpose() @ (be @ om).transpose()).permute_cols(legs, (1, 2, 0))
-    return flat_elem3(flat.a[0], n)
+    return Elem3(n, flat.reshape(n ** 3, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -636,21 +617,12 @@ class LinMap:
                       for cs, vs in self.nonzeros])
 
 
-# The converters below take cells that are already Fractions (from Vec,
-# Covec, Endo, Elem2, Elem3, BiForm and the frozen structure tables), so
-# they build through LinMap._exact.
-
-
-def endo_map(f: Endo) -> LinMap:
-    return LinMap._exact(f.dim, f.dim, f.entries)
-
-
 def endo_tensor(*fs: Endo) -> Endo:
     """The Kronecker product f_1 (x) f_2 (x) ... of endomorphisms."""
-    m = endo_map(fs[0])
+    m = fs[0].map
     for f in fs[1:]:
-        m = m.tensor(endo_map(f))
-    return Endo(m.rows, m.a)
+        m = m.tensor(f.map)
+    return Endo(m.rows, m)
 
 
 def elem_map(coeffs: Sequence[Q]) -> LinMap:
@@ -663,101 +635,9 @@ def form_map(coeffs: Sequence[Q]) -> LinMap:
     return LinMap._exact(1, len(coeffs), (tuple(coeffs),))
 
 
-def biform_map(s: BiForm) -> LinMap:
-    """A bilinear form as the one-row map A (x) A -> K."""
-    return form_map(tuple(x for row in s.s for x in row))
-
-
-def unit_map(u: Vec) -> LinMap:
-    """The unit K -> A as a one-column map."""
-    return elem_map(u.coeffs)
-
-
-def counit_map(e: Covec) -> LinMap:
-    """A counit A -> K as a one-row map."""
-    return form_map(e.coeffs)
-
-
-# The two layouts of a rank-3 table t[a][b][c] (dimensions d0, d1, d2) as
-# a LinMap; every structure tensor of the package is stored in one of them.
-
-
-def _two_to_one(t, d0: int, d1: int, d2: int) -> LinMap:
-    """e_a (x) e_b -> sum_c t[a][b][c] e_c."""
-    return LinMap._exact(d2, d0 * d1, tuple(
-        tuple(t[a][b][c] for a in range(d0) for b in range(d1)) for c in range(d2)))
-
-
-def _one_to_two(t, d0: int, d1: int, d2: int) -> LinMap:
-    """e_a -> sum_{b,c} t[a][b][c] e_b (x) e_c."""
-    return LinMap._exact(d1 * d2, d0, tuple(
-        tuple(t[a][b][c] for a in range(d0)) for b in range(d1) for c in range(d2)))
-
-
-def action_table(f: LinMap, d0: int, d1: int) -> tuple:
-    """Inverse of the two-to-one layout: t[a][b][c] is the e_c coefficient
-    of f(e_a (x) e_b), for source legs of dimensions (d0, d1). Gives Mul.c
-    and left / right action tables."""
-    return tuple(tuple(tuple(f.a[c][a * d1 + b] for c in range(f.rows))
-                       for b in range(d1)) for a in range(d0))
-
-
-def coaction_table(f: LinMap, d1: int, d2: int) -> tuple:
-    """Inverse of the one-to-two layout: t[a][b][c] is the e_b (x) e_c
-    coefficient of f(e_a), for target legs of dimensions (d1, d2). Gives
-    Comul.d and left / right coaction tables."""
-    return tuple(tuple(tuple(f.a[b * d2 + c][a] for c in range(d2))
-                       for b in range(d1)) for a in range(f.cols))
-
-
-def mul_map(m: Mul) -> LinMap:
-    """mu as a map A (x) A -> A."""
-    return action_map(m.c, m.dim, m.dim)
-
-
-def comul_map(d: Comul) -> LinMap:
-    """Delta as a map A -> A (x) A."""
-    return coaction_map(d.d, d.dim, d.dim)
-
-
-def action_map(act, dim_a: int, dim_m: int) -> LinMap:
-    """A left action A (x) M -> M from act[i][p][q]."""
-    return _two_to_one(act, dim_a, dim_m, dim_m)
-
-
-def raction_map(ract, dim_m: int, dim_a: int) -> LinMap:
-    """A right action M (x) A -> M from ract[p][i][q]."""
-    return _two_to_one(ract, dim_m, dim_a, dim_m)
-
-
-def coaction_map(h, dim_m: int, dim_a: int) -> LinMap:
-    """A left coaction M -> A (x) M from h[p][i][q]."""
-    return _one_to_two(h, dim_m, dim_a, dim_m)
-
-
-def rcoaction_map(h, dim_m: int, dim_a: int) -> LinMap:
-    """A right coaction M -> M (x) A from h[p][q][i]."""
-    return _one_to_two(h, dim_m, dim_m, dim_a)
-
-
-def elem2_flat(r: Elem2) -> tuple[Q, ...]:
-    return tuple(r.m[i][j] for i in range(r.dim) for j in range(r.dim))
-
-
 def outer_flat(x: Sequence[Q], y: Sequence[Q]) -> tuple[Q, ...]:
     """The flat coefficients of x (x) y from the flat coefficients of x and y."""
     return tuple([a * b for a in x for b in y])  # a list first, see apply_flat
-
-
-def elem3_flat(t: Elem3) -> tuple[Q, ...]:
-    n = t.dim
-    return tuple(t.t[i][j][k] for i in range(n) for j in range(n) for k in range(n))
-
-
-def flat_elem3(coeffs: Sequence[Q], dim: int) -> Elem3:
-    n = dim
-    return Elem3(n, tuple(tuple(tuple(coeffs[(i * n + j) * n + k] for k in range(n))
-                                for j in range(n)) for i in range(n)))
 
 
 def _leg_targets(dims: Sequence[int], perm: Sequence[int], size: int) -> list[int]:
@@ -778,7 +658,7 @@ def _leg_targets(dims: Sequence[int], perm: Sequence[int], size: int) -> list[in
 
 def first_nonmultiplicative(f: Endo, m: Mul) -> tuple[int, int] | None:
     """The first basis pair (i, j) with f(e_i e_j) != f(e_i) f(e_j), or None."""
-    fm, mu = endo_map(f), mul_map(m)
+    fm, mu = f.map, m.map
     bad = (fm @ mu).differing_columns(mu @ fm.tensor(fm))
     return divmod(bad[0], m.dim) if bad else None
 
@@ -786,7 +666,7 @@ def first_nonmultiplicative(f: Endo, m: Mul) -> tuple[int, int] | None:
 def first_noncommuting(maps: dict[str, Endo]) -> tuple[str, str] | None:
     """The first pair of names, in insertion order, whose maps do not commute."""
     for x, y in itertools.combinations(maps, 2):
-        fx, fy = endo_map(maps[x]), endo_map(maps[y])
+        fx, fy = maps[x].map, maps[y].map
         if fx @ fy != fy @ fx:
             return x, y
     return None
@@ -827,12 +707,12 @@ def render_flat(coeffs: Sequence[Q], dims: Sequence[int], legs: Sequence[str]) -
 
 
 def render_vec(v: Vec, leg: str = "e") -> str:
-    return render_flat(v.coeffs, (v.dim,), (leg,))
+    return render_flat(v.map.column(0), (v.dim,), (leg,))
 
 
 def render_elem2(r: Elem2, legs: Sequence[str] = ("e", "e")) -> str:
-    return render_flat(elem2_flat(r), (r.dim, r.dim), legs)
+    return render_flat(r.map.column(0), (r.dim, r.dim), legs)
 
 
 def render_elem3(t: Elem3, legs: Sequence[str] = ("e", "e", "e")) -> str:
-    return render_flat(elem3_flat(t), (t.dim, t.dim, t.dim), legs)
+    return render_flat(t.map.column(0), (t.dim, t.dim, t.dim), legs)

@@ -3,7 +3,8 @@
 Scalars travel as strings ('p/q', lowest terms), never as JSON floats.
 Multiplication-like tensors are sparse entry lists [i, j, k, "p/q"], maps
 are dense row-major string matrices, and absent blocks mean the feature is
-absent (no counit, no unit, ...). Saving is canonical: entries sorted,
+absent (no counit, no unit, ...). Sparse entries are parsed straight into
+the record's map, duplicates summed. Saving is canonical: entries sorted,
 zeros dropped, fixed key order, so identical structures produce
 byte-identical files.
 """
@@ -15,19 +16,17 @@ from dataclasses import dataclass, field
 
 from .errors import IndexOutOfRange, ParseError
 from .exactcore import (
-    BiForm, Comul, Covec, Elem2, Endo, Mul, Q, Vec, ZERO, scalar_parse,
-    scalar_render,
+    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, ZERO, scalar_parse,
+    scalar_render, table_entries, table_map,
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
     HopfBimodule, HopfModule, LeftComodule, LeftModule, PreLie,
-    PreLieCoalgebra, RotaBaxter,
+    PreLieCoalgebra, RotaBaxter, action_layout,
 )
 
 _MAP_KEYS = ("alpha", "beta", "psi", "omega")
-_TENSOR_KEYS = ("mul", "comul", "star", "prec", "succ")
-_PAIR_KEYS = ("r", "sigma")
-_VEC_KEYS = ("unit", "counit", "chi", "zeta")
+_ACTION_KEYS = ("action", "raction", "coaction", "rcoaction")
 
 KINDS = ("algebra", "coalgebra", "bialgebra", "hopf-module", "hopf-bimodule",
          "rota-baxter", "dendriform", "prelie", "prelie-coalgebra",
@@ -214,37 +213,28 @@ def _parse_vector(raw, dim: int, where: str) -> tuple:
     return tuple(_parse_scalar_field(x, where) for x in raw)
 
 
-def _parse_triples(raw, shape: tuple[int, int, int], where: str):
-    a, b, c = shape
-    dense = [[[ZERO] * c for _ in range(b)] for _ in range(a)]
+def _parse_entries(raw, dims: tuple[int, ...], target: tuple[int, ...], where: str) -> LinMap:
+    """Sparse entries [i, j, (k,) scalar] on legs dims, duplicates summed, as
+    the map onto the legs target (the layout of exactcore.table_map)."""
     if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a list of sparse entries")
+    span = f"dims {dims}" if len(dims) == 3 else f"dim {dims[0]}"
+    cells: dict = {}
     for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 4:
-            raise ParseError(f"{where}: entries must be [i, j, k, scalar]")
-        i, j, k, val = entry
-        if not all(_is_int(x) for x in (i, j, k)):
+        if not isinstance(entry, list) or len(entry) != len(dims) + 1:
+            raise ParseError(f"{where}: entries must be [{', '.join('ijk'[:len(dims)])}, scalar]")
+        *idx, val = entry
+        if not all(_is_int(x) for x in idx):
             raise ParseError(f"{where}: indices must be integers")
-        if not (0 <= i < a and 0 <= j < b and 0 <= k < c):
-            raise IndexOutOfRange(f"{where}: entry [{i}, {j}, {k}] outside dims {shape}")
-        dense[i][j][k] += _parse_scalar_field(val, where)
-    return tuple(tuple(tuple(row) for row in plane) for plane in dense)
+        if not all(0 <= i < d for i, d in zip(idx, dims)):
+            raise IndexOutOfRange(f"{where}: entry {idx} outside {span}")
+        idx = tuple(idx)
+        cells[idx] = cells.get(idx, ZERO) + _parse_scalar_field(val, where)
+    return table_map(cells, dims, target, where)
 
 
-def _parse_pairs(raw, dim: int, where: str):
-    dense = [[ZERO] * dim for _ in range(dim)]
-    if not isinstance(raw, list):
-        raise ParseError(f"{where}: expected a list of sparse entries")
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"{where}: entries must be [i, j, scalar]")
-        i, j, val = entry
-        if not all(_is_int(x) for x in (i, j)):
-            raise ParseError(f"{where}: indices must be integers")
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise IndexOutOfRange(f"{where}: entry [{i}, {j}] outside dim {dim}")
-        dense[i][j] += _parse_scalar_field(val, where)
-    return tuple(tuple(row) for row in dense)
+def _parse_record(cls, raw, dim: int, where: str):
+    return cls(dim, _parse_entries(raw, (dim,) * cls.legs, cls.target, where))
 
 
 def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
@@ -256,14 +246,9 @@ def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
     for key in _MAP_KEYS:
         if key in raw:
             out[key] = _parse_matrix(raw[key], dim, f"{where}.{key}")
-    if "action" in raw:
-        out["action"] = _parse_triples(raw["action"], (dim_a, dim, dim), f"{where}.action")
-    if "raction" in raw:
-        out["raction"] = _parse_triples(raw["raction"], (dim, dim_a, dim), f"{where}.raction")
-    if "coaction" in raw:
-        out["coaction"] = _parse_triples(raw["coaction"], (dim, dim_a, dim), f"{where}.coaction")
-    if "rcoaction" in raw:
-        out["rcoaction"] = _parse_triples(raw["rcoaction"], (dim, dim, dim_a), f"{where}.rcoaction")
+    for key in _ACTION_KEYS:
+        if key in raw:
+            out[key] = _parse_entries(raw[key], *action_layout(key, dim_a, dim), f"{where}.{key}")
     return out
 
 
@@ -279,13 +264,9 @@ def model_from_dict(doc: dict, name_hint: str = "model") -> ModelFile:
     for key in _MAP_KEYS:
         if key in doc:
             model.maps[key] = _parse_matrix(doc[key], dim, f"field {key!r}")
-    if "mul" in doc:
-        model.mul = Mul(dim, _parse_triples(doc["mul"], (dim, dim, dim), "field 'mul'"))
-    if "comul" in doc:
-        model.comul = Comul(dim, _parse_triples(doc["comul"], (dim, dim, dim), "field 'comul'"))
-    for key, cls in (("star", Mul), ("prec", Mul), ("succ", Mul)):
+    for key, cls in (("mul", Mul), ("comul", Comul), ("star", Mul), ("prec", Mul), ("succ", Mul)):
         if key in doc:
-            setattr(model, key, cls(dim, _parse_triples(doc[key], (dim, dim, dim), f"field {key!r}")))
+            setattr(model, key, _parse_record(cls, doc[key], dim, f"field {key!r}"))
     if "unit" in doc:
         model.unit = Vec(dim, _parse_vector(doc["unit"], dim, "field 'unit'"))
     if "counit" in doc:
@@ -294,10 +275,9 @@ def model_from_dict(doc: dict, name_hint: str = "model") -> ModelFile:
         model.chi = Covec(dim, _parse_vector(doc["chi"], dim, "field 'chi'"))
     if "zeta" in doc:
         model.zeta = Vec(dim, _parse_vector(doc["zeta"], dim, "field 'zeta'"))
-    if "r" in doc:
-        model.r = Elem2(dim, _parse_pairs(doc["r"], dim, "field 'r'"))
-    if "sigma" in doc:
-        model.sigma = BiForm(dim, _parse_pairs(doc["sigma"], dim, "field 'sigma'"))
+    for key, cls in (("r", Elem2), ("sigma", BiForm)):
+        if key in doc:
+            setattr(model, key, _parse_record(cls, doc[key], dim, f"field {key!r}"))
     if "R" in doc:
         model.rb_op = _parse_matrix(doc["R"], dim, "field 'R'")
     if "module" in doc:
@@ -307,7 +287,9 @@ def model_from_dict(doc: dict, name_hint: str = "model") -> ModelFile:
     return model
 
 
-def load(path: str) -> ModelFile:
+def load(path: str, block: str | None = None) -> ModelFile:
+    """The model in path; with block ('r' or 'sigma'), a file without that
+    block is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -315,38 +297,31 @@ def load(path: str) -> ModelFile:
         raise ParseError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return model_from_dict(doc, name_hint=path)
+    model = model_from_dict(doc, name_hint=path)
+    if block is not None and getattr(model, block) is None:
+        raise ParseError(f"{path}: no {block!r} block")
+    return model
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _triples_out(tensor) -> list:
-    out = []
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, val in enumerate(row):
-                if val != 0:
-                    out.append([i, j, k, scalar_render(val)])
-    return out
+def _entries_out(m: LinMap, dims: tuple[int, ...], target: tuple[int, ...]) -> list:
+    return [[*idx, scalar_render(v)] for idx, v in table_entries(m, dims, target)]
 
 
-def _pairs_out(matrix) -> list:
-    out = []
-    for i, row in enumerate(matrix):
-        for j, val in enumerate(row):
-            if val != 0:
-                out.append([i, j, scalar_render(val)])
-    return out
+def entries_out(rec) -> list:
+    """A structure record's nonzero entries [i, j, (k,) "p/q"] in index order."""
+    return _entries_out(rec.map, (rec.dim,) * rec.legs, rec.target)
 
 
 def _matrix_out(endo: Endo) -> list:
-    return [[scalar_render(x) for x in row] for row in endo.entries]
+    return [[scalar_render(x) for x in row] for row in endo.map.a]
 
 
-def _vector_out(coeffs) -> list:
-    return [scalar_render(x) for x in coeffs]
+def _vector_out(vec) -> list:
+    return [scalar_render(x) for row in vec.map.a for x in row]
 
 
 def model_to_dict(model: ModelFile) -> dict:
@@ -356,26 +331,12 @@ def model_to_dict(model: ModelFile) -> dict:
     for key in _MAP_KEYS:
         if key in model.maps:
             doc[key] = _matrix_out(model.maps[key])
-    if model.unit is not None:
-        doc["unit"] = _vector_out(model.unit.coeffs)
-    if model.counit is not None:
-        doc["counit"] = _vector_out(model.counit.coeffs)
-    if model.chi is not None:
-        doc["chi"] = _vector_out(model.chi.coeffs)
-    if model.zeta is not None:
-        doc["zeta"] = _vector_out(model.zeta.coeffs)
-    if model.mul is not None:
-        doc["mul"] = _triples_out(model.mul.c)
-    if model.comul is not None:
-        doc["comul"] = _triples_out(model.comul.d)
-    for key in ("star", "prec", "succ"):
-        block = getattr(model, key)
-        if block is not None:
-            doc[key] = _triples_out(block.c)
-    if model.r is not None:
-        doc["r"] = _pairs_out(model.r.m)
-    if model.sigma is not None:
-        doc["sigma"] = _pairs_out(model.sigma.s)
+    for key in ("unit", "counit", "chi", "zeta"):
+        if getattr(model, key) is not None:
+            doc[key] = _vector_out(getattr(model, key))
+    for key in ("mul", "comul", "star", "prec", "succ", "r", "sigma"):
+        if getattr(model, key) is not None:
+            doc[key] = entries_out(getattr(model, key))
     if model.rb_op is not None:
         doc["R"] = _matrix_out(model.rb_op)
     for key, attr in (("module", model.module), ("comodule", model.comodule)):
@@ -384,10 +345,9 @@ def model_to_dict(model: ModelFile) -> dict:
             for mk in _MAP_KEYS:
                 if mk in attr:
                     blk[mk] = _matrix_out(attr[mk])
-            for tk, shape_key in (("action", None), ("raction", None),
-                                  ("coaction", None), ("rcoaction", None)):
+            for tk in _ACTION_KEYS:
                 if tk in attr:
-                    blk[tk] = _triples_out(attr[tk])
+                    blk[tk] = _entries_out(attr[tk], *action_layout(tk, model.dim, attr["dim"]))
             doc[key] = blk
     return doc
 

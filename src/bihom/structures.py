@@ -1,8 +1,10 @@
 """Bundled domain structures and the twisted module-action primitives.
 
 All records are frozen dataclasses: pure data, safe to share, compared
-fieldwise. Nothing is validated mathematically at construction time; the
-checkers in :mod:`bihom.axioms` do that and report violations as data.
+fieldwise. A module or comodule record stores each (co)action as its
+LinMap; its constructor also takes the dense table of its docstring. Only
+shapes are checked at construction time; the checkers in
+:mod:`bihom.axioms` check the axioms and report violations as data.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NonCommutingMaps, NonMultiplicativeMap
 from .exactcore import (
-    Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Q, Vec, action_map, action_table,
-    elem2_flat, elem3_flat, elem_map, endo_map, endo_tensor, first_noncommuting,
-    first_nonmultiplicative, flat_elem3, mul_apply, mul_map, raction_map,
+    Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Q, Vec, endo_tensor, first_noncommuting,
+    first_nonmultiplicative, mul_apply, table_map,
 )
 
 
@@ -74,15 +75,30 @@ class Bialgebra:
         return self.algebra.dim
 
 
-def _check_rank3(tensor, dims: tuple[int, int, int], what: str):
-    a, b, c = dims
-    if len(tensor) != a or any(len(p) != b for p in tensor) or any(
-            len(row) != c for p in tensor for row in p):
-        raise DimensionMismatch(f"{what} tensor has wrong shape")
+# Each (co)action table by its legs, 'a' over the algebra or coalgebra and
+# 'm' over the carrier, and the legs its map sends to (table_map's layout):
+# action[i][p][q] is the f_q coefficient of e_i |> f_p, its map A (x) M -> M.
+_ACTIONS = {"action": ("amm", (2,)), "raction": ("mam", (2,)),
+            "coaction": ("mam", (1, 2)), "rcoaction": ("mma", (1, 2))}
 
 
-def _freeze3(tensor):
-    return tuple(tuple(tuple(Q(x) for x in row) for row in plane) for plane in tensor)
+def action_layout(key: str, dim_a: int, dim_m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The leg dimensions and target legs of the (co)action table key."""
+    legs, target = _ACTIONS[key]
+    return tuple(dim_a if leg == "a" else dim_m for leg in legs), target
+
+
+def _store_parts(rec, tables: dict[str, str], twists: tuple[str, ...]):
+    """Store each (co)action of a module record as its map (from a LinMap or
+    a table in the layout of _ACTIONS[tables[field]]) and check that every
+    part fits the carrier."""
+    for field, key in tables.items():
+        object.__setattr__(rec, field, table_map(
+            getattr(rec, field), *action_layout(key, rec.over.dim, rec.dim), field))
+    for field in twists:
+        if getattr(rec, field).dim != rec.dim:
+            raise DimensionMismatch(f"{field} has dim {getattr(rec, field).dim}, "
+                                    f"the carrier has dim {rec.dim}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +107,12 @@ class LeftModule:
 
     over: Algebra
     dim: int
-    action: tuple
+    action: LinMap
     alpha_m: Endo
     beta_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "action", _freeze3(self.action))
-        _check_rank3(self.action, (self.over.dim, self.dim, self.dim), "left action")
-        if self.alpha_m.dim != self.dim or self.beta_m.dim != self.dim:
-            raise DimensionMismatch("module maps have wrong dim")
+        _store_parts(self, {"action": "action"}, ("alpha_m", "beta_m"))
 
 
 @dataclass(frozen=True)
@@ -108,15 +121,12 @@ class RightModule:
 
     over: Algebra
     dim: int
-    action: tuple
+    action: LinMap
     alpha_m: Endo
     beta_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "action", _freeze3(self.action))
-        _check_rank3(self.action, (self.dim, self.over.dim, self.dim), "right action")
-        if self.alpha_m.dim != self.dim or self.beta_m.dim != self.dim:
-            raise DimensionMismatch("module maps have wrong dim")
+        _store_parts(self, {"action": "raction"}, ("alpha_m", "beta_m"))
 
 
 @dataclass(frozen=True)
@@ -125,16 +135,13 @@ class Bimodule:
 
     over: Algebra
     dim: int
-    action: tuple
-    raction: tuple
+    action: LinMap
+    raction: LinMap
     alpha_m: Endo
     beta_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "action", _freeze3(self.action))
-        object.__setattr__(self, "raction", _freeze3(self.raction))
-        _check_rank3(self.action, (self.over.dim, self.dim, self.dim), "left action")
-        _check_rank3(self.raction, (self.dim, self.over.dim, self.dim), "right action")
+        _store_parts(self, {"action": "action", "raction": "raction"}, ("alpha_m", "beta_m"))
 
     @property
     def left(self) -> LeftModule:
@@ -151,15 +158,12 @@ class LeftComodule:
 
     over: Coalgebra
     dim: int
-    coaction: tuple
+    coaction: LinMap
     psi_m: Endo
     omega_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "coaction", _freeze3(self.coaction))
-        _check_rank3(self.coaction, (self.dim, self.over.dim, self.dim), "left coaction")
-        if self.psi_m.dim != self.dim or self.omega_m.dim != self.dim:
-            raise DimensionMismatch("comodule maps have wrong dim")
+        _store_parts(self, {"coaction": "coaction"}, ("psi_m", "omega_m"))
 
 
 @dataclass(frozen=True)
@@ -168,13 +172,12 @@ class RightComodule:
 
     over: Coalgebra
     dim: int
-    coaction: tuple
+    coaction: LinMap
     psi_m: Endo
     omega_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "coaction", _freeze3(self.coaction))
-        _check_rank3(self.coaction, (self.dim, self.dim, self.over.dim), "right coaction")
+        _store_parts(self, {"coaction": "rcoaction"}, ("psi_m", "omega_m"))
 
 
 @dataclass(frozen=True)
@@ -196,25 +199,18 @@ class HopfBimodule:
 
     over: Bialgebra
     dim: int
-    action: tuple
-    raction: tuple
-    coaction: tuple
-    rcoaction: tuple
+    action: LinMap
+    raction: LinMap
+    coaction: LinMap
+    rcoaction: LinMap
     alpha_m: Endo
     beta_m: Endo
     psi_m: Endo
     omega_m: Endo
 
     def __post_init__(self):
-        object.__setattr__(self, "action", _freeze3(self.action))
-        object.__setattr__(self, "raction", _freeze3(self.raction))
-        object.__setattr__(self, "coaction", _freeze3(self.coaction))
-        object.__setattr__(self, "rcoaction", _freeze3(self.rcoaction))
-        n, m = self.over.dim, self.dim
-        _check_rank3(self.action, (n, m, m), "left action")
-        _check_rank3(self.raction, (m, n, m), "right action")
-        _check_rank3(self.coaction, (m, n, m), "left coaction")
-        _check_rank3(self.rcoaction, (m, m, n), "right coaction")
+        _store_parts(self, {key: key for key in _ACTIONS},
+                     ("alpha_m", "beta_m", "psi_m", "omega_m"))
 
 
 @dataclass(frozen=True)
@@ -320,8 +316,8 @@ def twisted_left_action(a_alg: Algebra, omega: Endo, t: LinMap, legs: int) -> Li
     map exceeds n^4 cells."""
     n = a_alg.dim
     rest = n ** (legs - 1)
-    t = t.reshape(n, rest) @ endo_map(endo_tensor(*(a_alg.beta,) * (legs - 1))).transpose()
-    mul = mul_map(a_alg.mul) @ endo_map(omega).tensor(LinMap.identity(n))
+    t = t.reshape(n, rest) @ endo_tensor(*(a_alg.beta,) * (legs - 1)).map.transpose()
+    mul = a_alg.mul.map @ omega.map.tensor(LinMap.identity(n))
     out = (mul.reshape(n * n, n) @ t).reshape(1, n * n * rest)   # legs (c, a, t_2, ...)
     return out.permute_cols((n,) * (legs + 1), (0, legs, *range(1, legs))).reshape(n * rest, n)
 
@@ -331,8 +327,8 @@ def twisted_right_action(a_alg: Algebra, psi: Endo, t: LinMap, legs: int) -> Lin
     a map A -> A^(x)legs, built like twisted_left_action."""
     n = a_alg.dim
     rest = n ** (legs - 1)
-    t = endo_map(endo_tensor(*(a_alg.alpha,) * (legs - 1))) @ t.reshape(rest, n)
-    mul = (mul_map(a_alg.mul) @ LinMap.identity(n).tensor(endo_map(psi))).reshape(1, n ** 3)
+    t = endo_tensor(*(a_alg.alpha,) * (legs - 1)).map @ t.reshape(rest, n)
+    mul = (a_alg.mul.map @ LinMap.identity(n).tensor(psi.map)).reshape(1, n ** 3)
     mul = mul.permute_cols((n,) * 3, (1, 0, 2)).reshape(n, n * n)  # rows t_legs, cols (c, a)
     return (t @ mul).reshape(rest * n, n)
 
@@ -342,8 +338,7 @@ def act_pair_left(a_alg: Algebra, omega: Endo, a: Vec, xy: Elem2) -> Elem2:
     n = a_alg.dim
     if a.dim != n or xy.dim != n or omega.dim != n:
         raise DimensionMismatch("left pair action operands disagree on dim")
-    flat = twisted_left_action(a_alg, omega, elem_map(elem2_flat(xy)), 2).apply_flat(a.coeffs)
-    return Elem2(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+    return Elem2(n, twisted_left_action(a_alg, omega, xy.map, 2) @ a.map)
 
 
 def act_pair_right(a_alg: Algebra, psi: Endo, xy: Elem2, a: Vec) -> Elem2:
@@ -351,8 +346,7 @@ def act_pair_right(a_alg: Algebra, psi: Endo, xy: Elem2, a: Vec) -> Elem2:
     n = a_alg.dim
     if a.dim != n or xy.dim != n or psi.dim != n:
         raise DimensionMismatch("right pair action operands disagree on dim")
-    flat = twisted_right_action(a_alg, psi, elem_map(elem2_flat(xy)), 2).apply_flat(a.coeffs)
-    return Elem2(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+    return Elem2(n, twisted_right_action(a_alg, psi, xy.map, 2) @ a.map)
 
 
 def act_triple(a_alg: Algebra, psi: Endo, omega: Endo, side: str, a: Vec, t: Elem3) -> Elem3:
@@ -366,10 +360,9 @@ def act_triple(a_alg: Algebra, psi: Endo, omega: Endo, side: str, a: Vec, t: Ele
     n = a_alg.dim
     if a.dim != n or t.dim != n:
         raise DimensionMismatch("triple action operands disagree on dim")
-    t_map = elem_map(elem3_flat(t))
-    action = (twisted_left_action(a_alg, omega, t_map, 3) if side == "left"
-              else twisted_right_action(a_alg, psi, t_map, 3))
-    return flat_elem3(action.apply_flat(a.coeffs), n)
+    action = (twisted_left_action(a_alg, omega, t.map, 3) if side == "left"
+              else twisted_right_action(a_alg, psi, t.map, 3))
+    return Elem3(n, action @ a.map)
 
 
 def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
@@ -382,7 +375,6 @@ def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
     Requires psi, omega multiplicative and the four algebra maps pairwise
     commuting; both are checked eagerly.
     """
-    dim_a = a_alg.dim
     for f, name in ((psi_a, "psi"), (omega_a, "omega")):
         pair = first_nonmultiplicative(f, a_alg.mul)
         if pair is not None:
@@ -393,16 +385,15 @@ def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
         raise NonCommutingMaps(f"{pair[0]} and {pair[1]} do not commute")
 
     dim = m.dim * n_mod.dim * v.dim
-    left = (action_map(m.action, dim_a, m.dim)
-            @ endo_map(omega_a).tensor(LinMap.identity(m.dim))
-            ).tensor(endo_map(n_mod.beta_m)).tensor(endo_map(v.beta_m))
-    right = endo_map(m.alpha_m).tensor(endo_map(n_mod.alpha_m)).tensor(
-        raction_map(v.raction, v.dim, dim_a) @ LinMap.identity(v.dim).tensor(endo_map(psi_a)))
+    left = (m.action @ omega_a.map.tensor(LinMap.identity(m.dim))
+            ).tensor(n_mod.beta_m.map).tensor(v.beta_m.map)
+    right = m.alpha_m.map.tensor(n_mod.alpha_m.map).tensor(
+        v.raction @ LinMap.identity(v.dim).tensor(psi_a.map))
     return Bimodule(
         over=a_alg,
         dim=dim,
-        action=action_table(left, dim_a, dim),
-        raction=action_table(right, dim, dim_a),
+        action=left,
+        raction=right,
         alpha_m=endo_tensor(m.alpha_m, n_mod.alpha_m, v.alpha_m),
         beta_m=endo_tensor(m.beta_m, n_mod.beta_m, v.beta_m),
     )
@@ -410,13 +401,13 @@ def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
 
 def regular_bimodule(a_alg: Algebra) -> Bimodule:
     """A acting on itself on both sides by its own multiplication."""
-    return Bimodule(a_alg, a_alg.dim, a_alg.mul.c, a_alg.mul.c, a_alg.alpha, a_alg.beta)
+    return Bimodule(a_alg, a_alg.dim, a_alg.mul.map, a_alg.mul.map, a_alg.alpha, a_alg.beta)
 
 
 def regular_left_module(a_alg: Algebra) -> LeftModule:
-    return LeftModule(a_alg, a_alg.dim, a_alg.mul.c, a_alg.alpha, a_alg.beta)
+    return LeftModule(a_alg, a_alg.dim, a_alg.mul.map, a_alg.alpha, a_alg.beta)
 
 
 def regular_left_comodule(c_coalg: Coalgebra) -> LeftComodule:
     """C coacting on itself by its own comultiplication."""
-    return LeftComodule(c_coalg, c_coalg.dim, c_coalg.comul.d, c_coalg.psi, c_coalg.omega)
+    return LeftComodule(c_coalg, c_coalg.dim, c_coalg.comul.map, c_coalg.psi, c_coalg.omega)

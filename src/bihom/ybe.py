@@ -22,8 +22,8 @@ from .errors import (
 )
 from .exactcore import (
     ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under,
-    biform_map, comul_map, counit_map, elem2_flat, elem3_build, elem3_flat, elem3_map, elem_map,
-    endo_inverse, endo_is_invertible, endo_map, flat_elem3, form_map, outer_flat, square_map,
+    elem3_build, elem3_map, elem_map, endo_inverse, endo_is_invertible, form_map, outer_flat,
+    square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
@@ -64,8 +64,7 @@ def _residual_parts(a: Algebra, psi: Endo, omega: Endo, r: Elem2,
         raise DimensionMismatch(f"r has dim {r.dim}, the algebra has dim {a.dim}")
     if a.unit is None:
         raise MissingUnit("the residual needs the unit element")
-    return {kind: elem_map(elem3_flat(elem3_build(kind, a.mul, a.alpha, a.beta, psi, omega,
-                                                  a.unit, r)))
+    return {kind: elem3_build(kind, a.mul, a.alpha, a.beta, psi, omega, a.unit, r).map
             for kind in kinds}
 
 
@@ -93,20 +92,19 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     omitted when those hypotheses fail.
     """
     weight = Q(weight)
-    characterize = (r.dim == a.dim and _invariant(_squares(a, psi, omega), elem2_flat(r))
+    characterize = (r.dim == a.dim and _invariant(_squares(a, psi, omega), r.map.column(0))
                     and endo_is_invertible(a.alpha) and endo_is_invertible(a.beta))
     # every element both sides need, as K -> A (x) A (x) A
     part = _residual_parts(a, psi, omega, r, ELEM3_KINDS if characterize else ELEM3_KINDS[:4])
-    residual = flat_elem3(_residual(part, weight, anti).column(0), a.dim)
+    residual = Elem3(a.dim, _residual(part, weight, anti))
     characterization: dict[str, bool] = {}
     if characterize:
-        r_map = elem_map(elem2_flat(r))
         try:
             for anti_flag, key_left, key_right in ((False, "(14.8)", "(14.9)"),
                                                    (True, "(14.28)", "(14.29)")):
                 dmap = constructions._delta_r_map(a, psi, omega, r, weight, anti_flag)
-                lhs_left = dmap.tensor(endo_map(psi)) @ r_map
-                lhs_right = endo_map(omega).tensor(dmap) @ r_map
+                lhs_left = dmap.tensor(psi.map) @ r.map
+                lhs_right = omega.map.tensor(dmap) @ r.map
                 if anti_flag:
                     rhs_left = part["r23r13"].scale(-1) - (part["r23"] + part["r13"]).scale(weight)
                     rhs_right = part["r13r12"]
@@ -132,8 +130,8 @@ def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     beta_inv = endo_inverse(a.beta)
     residual = _residual(_residual_parts(a, psi, omega, r, ELEM3_KINDS[:4]), weight, anti)
     n = a.dim
-    lhs = twisted_left_action(a, omega, residual, 3) @ endo_map(omega @ alpha_inv)
-    rhs = twisted_right_action(a, psi, residual, 3) @ endo_map(psi @ beta_inv)
+    lhs = twisted_left_action(a, omega, residual, 3) @ (omega @ alpha_inv).map
+    rhs = twisted_right_action(a, psi, residual, 3) @ (psi @ beta_inv).map
     eq_id = "(coboundary1)" if anti else "(coboundary)"
     return axioms._report(axioms.compare_maps(eq_id, lhs, rhs, (n,), (n, n, n), ("e", "e", "e")))
 
@@ -150,11 +148,11 @@ def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weig
     n = c.dim
     sign = -weight if anti else weight
     i1 = LinMap.identity(n)
-    al, be = endo_map(alpha), endo_map(beta)
-    ps, om = endo_map(c.psi), endo_map(c.omega)
-    de = comul_map(c.comul)
-    sig = biform_map(sigma)
-    eps = counit_map(c.counit)
+    al, be = alpha.map, beta.map
+    ps, om = c.psi.map, c.omega.map
+    de = c.comul.map
+    sig = sigma.map
+    eps = c.counit.map
 
     # each term is a functional on basis triples (i, j, k): two sigma values,
     # each an n x n matrix pair(f, g), summed against Delta of the third
@@ -171,7 +169,7 @@ def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weig
     term3 = contract(pair(om, i1), pair(al @ ps, be), (1, 0, 2))
     s_a_b_eps = (sig @ al.tensor(be)).tensor(eps).permute_cols((n,) * 3, (0, 2, 1))
     value = term1 - term2 + term3 - s_a_b_eps.scale(sign)
-    residual = flat_elem3(value.a[0], n)
+    residual = Elem3(n, value.transpose())
 
     characterization: dict[str, bool] = {}
     invariant = all(biform_invariant_under(f, sigma) for f in (alpha, beta, c.psi, c.omega))
@@ -191,9 +189,9 @@ def _coqt_characterization(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
     functionals on basis triples (i, j, k)."""
     n = c.dim
     i1 = LinMap.identity(n)
-    eps = counit_map(c.counit)
-    s_id_b = sig @ i1.tensor(endo_map(beta))       # sigma(u, beta(k))
-    s_a_id = sig @ endo_map(alpha).tensor(i1)      # sigma(alpha(i), u)
+    eps = c.counit.map
+    s_id_b = sig @ i1.tensor(beta.map)       # sigma(u, beta(k))
+    s_a_id = sig @ alpha.map.tensor(i1)      # sigma(alpha(i), u)
 
     characterization: dict[str, bool] = {}
     for anti_flag, key_prod, key_dual in ((False, "(01.06)", "(01.07)"),
@@ -223,7 +221,7 @@ def _grid(n: int, coeff_set, guard: int) -> list[Q]:
 
 
 def _as_elem2(flat: tuple[Q, ...], n: int) -> Elem2:
-    return Elem2(n, tuple(flat[i:i + n] for i in range(0, n * n, n)))
+    return Elem2(n, elem_map(flat))
 
 
 def _solves(search: tuple[LinMap, LinMap, tuple[LinMap, ...]], flat: tuple[Q, ...]) -> bool:

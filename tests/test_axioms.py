@@ -232,7 +232,7 @@ def test_regular_hopf_bimodule_cross_couplings_at_weight_one(trivial_left, trivi
 def test_mutated_right_coaction_hits_cross_coupling(dual_numbers):
     b = constructions.trivial_coproduct(dual_numbers, ID2, ID2, 0)
     h = _regular_hopf_bimodule(b)
-    bad = [[list(row) for row in plane] for plane in h.rcoaction]
+    bad = [[list(row) for row in plane] for plane in b.coalgebra.comul.d]  # h's rcoaction table
     bad[1][0][0] += 1
     mutated = HopfBimodule(b, h.dim, h.action, h.raction, h.coaction,
                            tuple(tuple(tuple(r) for r in p) for p in bad),

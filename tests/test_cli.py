@@ -288,6 +288,24 @@ def test_element_of_other_dim_exits_2(workdir, capsys, verb, host, block, dim):
     assert err.startswith("error: ") and f"has dim {dim}" in err
 
 
+@pytest.mark.parametrize("verb, host, block", [
+    ("ybe", "dual-numbers", "r"),
+    ("delta-r", "dual-numbers", "r"),
+    ("rota-baxter", "dual-numbers", "r"),
+    ("hopf-module --from qt", "kz2", "r"),
+    ("mu-sigma", "trunc-poly-2", "sigma"),
+    ("co-ybe", "trunc-poly-2", "sigma"),
+    ("hopf-module --from coqt", "trunc-poly-2", "sigma"),
+])
+def test_element_file_without_its_block_exits_2(workdir, verb, host, block):
+    _, put = workdir
+    path = put(host)
+    proc = subprocess.run([sys.executable, "-m", "bihom.cli", *verb.split(), path,
+                           f"--{block}", path], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {path}: no {block!r} block\n"
+
+
 def test_installed_entry_point(tmp_path):
     path = tmp_path / "dn.json"
     models.save(catalog.entry("dual-numbers"), str(path))

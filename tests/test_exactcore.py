@@ -269,7 +269,7 @@ def test_elem3_build_and_map_match_nested_loops(data):
         source = (exactcore.outer_flat(flat_r, flat_rbar)
                   if kind in ("r13r12", "r12r23", "r23r13") else flat_r)
         compiled = exactcore.elem3_map(kind, *args).apply_flat(source)
-        assert exactcore.flat_elem3(compiled, n).t == expected, kind
+        assert Elem3(n, exactcore.elem_map(compiled)).t == expected, kind
 
 
 # ---------------------------------------------------------------------------

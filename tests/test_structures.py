@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bihom import axioms, catalog
-from bihom.errors import NonCommutingMaps, NonMultiplicativeMap
+from bihom.errors import DimensionMismatch, NonCommutingMaps, NonMultiplicativeMap
 from bihom.exactcore import Elem2, Elem3, Endo, Mul, Vec, comul_apply, tensor_vv
 from bihom.structures import Algebra
 from bihom.structures import (
+    Bimodule, HopfBimodule, LeftComodule, LeftModule, RightComodule, RightModule,
     act_pair_left, act_pair_right, act_triple, bimodule_triple,
     regular_bimodule, regular_left_comodule, regular_left_module,
 )
@@ -135,8 +136,8 @@ def test_bimodule_triple_zero_actions(dual_numbers):
     from bihom.structures import Bimodule
     z = Bimodule(dual_numbers, 2, zero3, zero3, ID2, ID2)
     prod = bimodule_triple(dual_numbers, ID2, ID2, z, z, z)
-    assert all(x == 0 for plane in prod.action for row in plane for x in row)
-    assert all(x == 0 for plane in prod.raction for row in plane for x in row)
+    assert all(x == 0 for row in prod.action.a for x in row)
+    assert all(x == 0 for row in prod.raction.a for x in row)
 
 
 def test_bimodule_triple_yau_twisted(kz2_yau):
@@ -178,3 +179,19 @@ def test_records_are_pure_data(dual_numbers):
     twin = catalog.entry("dual-numbers").as_algebra()
     assert twin == dual_numbers
     assert axioms.check_bihom_algebra(twin) == axioms.check_bihom_algebra(dual_numbers)
+
+
+@pytest.mark.parametrize("build", [
+    lambda b, f: LeftModule(b.algebra, 2, b.algebra.mul.c, f, f),
+    lambda b, f: RightModule(b.algebra, 2, b.algebra.mul.c, f, f),
+    lambda b, f: Bimodule(b.algebra, 2, b.algebra.mul.c, b.algebra.mul.c, f, f),
+    lambda b, f: LeftComodule(b.coalgebra, 2, b.coalgebra.comul.d, f, f),
+    lambda b, f: RightComodule(b.coalgebra, 2, b.coalgebra.comul.d, f, f),
+    lambda b, f: HopfBimodule(b, 2, b.algebra.mul.c, b.algebra.mul.c,
+                              b.coalgebra.comul.d, b.coalgebra.comul.d, f, f, f, f),
+], ids=["left-module", "right-module", "bimodule", "left-comodule", "right-comodule",
+        "hopf-bimodule"])
+def test_module_records_reject_maps_of_another_dim(kz2, build):
+    build(kz2, Endo.identity(2))
+    with pytest.raises(DimensionMismatch):
+        build(kz2, Endo.identity(3))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bihom import axioms, catalog, constructions as C, ybe
 from bihom.errors import MissingUnit, SearchSpaceTooLarge
 from bihom.exactcore import (
-    BiForm, Elem2, Elem3, Endo, LinMap, Mul, Vec, action_table, endo_inverse, endo_map, mul_map,
+    BiForm, Elem2, Elem3, Endo, LinMap, Mul, Vec, endo_inverse,
 )
 from bihom.structures import Algebra
 
@@ -293,12 +293,12 @@ def _unital_hosts(draw):
                               for j in range(n)]
                              for i in range(n)])
     p = unipotent(False) @ unipotent(True)
-    p_inv = endo_map(endo_inverse(Endo(n, p.a)))
+    p_inv = endo_inverse(Endo(n, p.a)).map
 
     def twist():
         d = [Q(1)] + [draw(st.sampled_from([Q(1), Q(-1)])) for _ in range(n - 1)]
-        return Endo(n, (p_inv @ endo_map(Endo.diagonal(d)) @ p).a)
-    mul = Mul(n, action_table(p_inv @ mul_map(Mul(n, c)) @ p.tensor(p), n, n))
+        return Endo(n, p_inv @ Endo.diagonal(d).map @ p)
+    mul = Mul(n, p_inv @ Mul(n, c).map @ p.tensor(p))
     unit = p_inv.column(0)
     return Algebra(n, mul, twist(), twist(), Vec(n, unit)), twist(), twist(), unit
 
