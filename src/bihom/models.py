@@ -22,7 +22,7 @@ from .exactcore import (
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
     HopfBimodule, HopfModule, LeftComodule, LeftModule, PreLie,
-    PreLieCoalgebra, RotaBaxter, action_layout,
+    PreLieCoalgebra, RotaBaxter, _action_layout,
 )
 
 _MAP_KEYS = ("alpha", "beta", "psi", "omega")
@@ -248,7 +248,7 @@ def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
             out[key] = _parse_matrix(raw[key], dim, f"{where}.{key}")
     for key in _ACTION_KEYS:
         if key in raw:
-            out[key] = _parse_entries(raw[key], *action_layout(key, dim_a, dim), f"{where}.{key}")
+            out[key] = _parse_entries(raw[key], *_action_layout(key, dim_a, dim), f"{where}.{key}")
     return out
 
 
@@ -347,7 +347,7 @@ def model_to_dict(model: ModelFile) -> dict:
                     blk[mk] = _matrix_out(attr[mk])
             for tk in _ACTION_KEYS:
                 if tk in attr:
-                    blk[tk] = _entries_out(attr[tk], *action_layout(tk, model.dim, attr["dim"]))
+                    blk[tk] = _entries_out(attr[tk], *_action_layout(tk, model.dim, attr["dim"]))
             doc[key] = blk
     return doc
 

@@ -82,7 +82,7 @@ _ACTIONS = {"action": ("amm", (2,)), "raction": ("mam", (2,)),
             "coaction": ("mam", (1, 2)), "rcoaction": ("mma", (1, 2))}
 
 
-def action_layout(key: str, dim_a: int, dim_m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _action_layout(key: str, dim_a: int, dim_m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The leg dimensions and target legs of the (co)action table key."""
     legs, target = _ACTIONS[key]
     return tuple(dim_a if leg == "a" else dim_m for leg in legs), target
@@ -94,7 +94,7 @@ def _store_parts(rec, tables: dict[str, str], twists: tuple[str, ...]):
     part fits the carrier."""
     for field, key in tables.items():
         object.__setattr__(rec, field, table_map(
-            getattr(rec, field), *action_layout(key, rec.over.dim, rec.dim), field))
+            getattr(rec, field), *_action_layout(key, rec.over.dim, rec.dim), field))
     for field in twists:
         if getattr(rec, field).dim != rec.dim:
             raise DimensionMismatch(f"{field} has dim {getattr(rec, field).dim}, "

@@ -446,7 +446,8 @@ def test_hopf_module_from_qt_regular(dual_numbers, r_one):
     h = C.hopf_module_from_qt(b, r_one, regular_left_module(dual_numbers), ID2, ID2)
     assert axioms.check_hopf_module(h).passed
     # the coaction is m -> -1 (x) m here
-    assert h.comodule.coaction.a[0 * 2 + 1][1] == Q(-1)  # table cell [1][0][1]: row (0, 1), column 1
+    # the coaction table cell [1][0][1] is row (0, 1) = 1, column 1 of the map
+    assert h.comodule.coaction.a[1][1] == Q(-1)
 
 
 def test_hopf_module_from_qt_anti_zero_coaction(dual_numbers, r_one):
