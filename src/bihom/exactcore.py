@@ -90,8 +90,8 @@ def table_map(table, dims: Sequence[int], target: Sequence[int], what: str) -> "
     """A table on legs dims as its map onto the legs target: a LinMap of that
     shape as it is, a dict of {index tuple: value} cells (indices in range),
     or a dense nested table. Any other shape raises DimensionMismatch."""
-    rows = math.prod(dims[t] for t in target)
-    cols = math.prod(dims) // rows
+    rows = math.prod(d for leg, d in enumerate(dims) if leg in target)
+    cols = math.prod(d for leg, d in enumerate(dims) if leg not in target)
     if not isinstance(table, LinMap):
         if not isinstance(table, dict):
             table = dict(zip(itertools.product(*map(range, dims)), _flatten(table, dims, what)))
@@ -141,8 +141,7 @@ class _Tensor:
 
     @classmethod
     def zero(cls, dim: int):
-        rows = dim ** len(cls.target)
-        return cls(dim, LinMap.zero(rows, dim ** cls.legs // rows))
+        return cls(dim, LinMap.zero(dim ** len(cls.target), dim ** (cls.legs - len(cls.target))))
 
     def __add__(self, other):
         return type(self)(self.dim, self.map + other.map)
@@ -155,12 +154,13 @@ class _Tensor:
 
     def _dense(self) -> tuple:
         """The dense nested table, a read-only view for readers of tables."""
-        dims = (self.dim,) * self.legs
-        cells = dict(table_entries(self.map, dims, self.target))
-        flat = [cells.get(idx, ZERO) for idx in itertools.product(*map(range, dims))]
-        for d in dims[:0:-1]:     # group the last leg first
-            flat = [tuple(flat[k:k + d]) for k in range(0, len(flat), d)]
-        return tuple(flat)
+        cells = dict(table_entries(self.map, (self.dim,) * self.legs, self.target))
+
+        def part(idx: tuple) -> tuple:
+            if len(idx) == self.legs:
+                return cells.get(idx, ZERO)
+            return tuple(part(idx + (i,)) for i in range(self.dim))
+        return part(())
 
 
 def _same_dim(a, b):

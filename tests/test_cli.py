@@ -232,6 +232,12 @@ def test_hopf_module_via_cli(workdir, capsys):
     capsys.readouterr()
 
 
+def test_hopf_module_on_a_zero_dim_space(workdir, capsys):
+    _, put = workdir
+    assert run(["hopf-module", put("kz2"), "--from", "plain", "--vdim", "0"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+
+
 def test_search_r_verb(workdir, capsys):
     _, put = workdir
     dn = put("dual-numbers")

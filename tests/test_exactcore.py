@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bihom.errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
 from bihom.exactcore import (
-    Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
+    BiForm, Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
     comul_apply, mul_apply, render_elem2, render_vec, scalar_parse,
     scalar_render, tensor_vv,
 )
@@ -478,6 +478,12 @@ def test_check_infbh_bialgebra_barely_coerces(coerce_calls):
     coerce_calls[0] = 0
     assert axioms.check_infbh_bialgebra(b).violations
     assert coerce_calls[0] <= 24
+
+
+@pytest.mark.parametrize("record", [Vec, Covec, Endo, Mul, Comul, Elem2, Elem3, BiForm])
+def test_records_on_dim_zero(record):
+    assert record.zero(0) == record(0, ())
+    assert Mul.zero(0).c == Elem2.zero(0).m == Vec.zero(0).coeffs == ()
 
 
 def test_render_canonical():
