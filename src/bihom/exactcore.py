@@ -2,7 +2,9 @@
 
 Basis-indexed vectors, functionals, endomorphisms and rank-2/3 structure
 tensors, each stored as the exact linear map (LinMap) the checkers and
-constructions compose, and the sparse LinMap kernel itself.
+constructions compose, and the sparse LinMap kernel itself. A LinMap
+stores only the nonzero cells of each row; its dense rows ``a`` are a
+lazy, cached view for readers outside the kernel.
 
 Conventions, fixed once for the whole package:
 
@@ -25,6 +27,7 @@ Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -95,9 +98,10 @@ def table_map(table, dims: Sequence[int], target: Sequence[int], what: str) -> "
     if not isinstance(table, LinMap):
         if not isinstance(table, dict):
             table = dict(zip(itertools.product(*map(range, dims)), _flatten(table, dims, what)))
+        # filtered again once exact: Q("0") is zero though "0" is not
+        cells = ((idx, v if type(v) is Q else Q(v)) for idx, v in table.items() if v)
         table = LinMap._from_nonzeros(rows, cols, _gather(rows, sorted(
-            (*_cell(idx, dims, target), v if type(v) is Q else Q(v))
-            for idx, v in table.items() if v)))
+            (*_cell(idx, dims, target), v) for idx, v in cells if v)))
     if (table.rows, table.cols) != (rows, cols):
         raise DimensionMismatch(f"{what} needs a {rows}x{cols} map, got {table.rows}x{table.cols}")
     return table
@@ -163,6 +167,12 @@ class _Tensor:
         return part(())
 
 
+def _only_cell(m: "LinMap") -> Q:
+    """The value of a 1 x 1 map."""
+    cs, vs = m.nonzeros[0]
+    return vs[0] if cs else ZERO
+
+
 def _same_dim(a, b):
     if a.dim != b.dim:
         raise DimensionMismatch(f"dim {a.dim} vs dim {b.dim}")
@@ -187,7 +197,7 @@ class Covec(_Tensor):
 
     def __call__(self, v: Vec) -> Q:
         _same_dim(self, v)
-        return (self.map @ v.map).a[0][0]
+        return _only_cell(self.map @ v.map)
 
 
 class Endo(_Tensor):
@@ -226,7 +236,8 @@ class Endo(_Tensor):
 def endo_inverse(f: Endo) -> Endo:
     """Exact inverse by Gauss-Jordan elimination; raises SingularMap."""
     n = f.dim
-    aug = [list(f.map.a[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+           for i, row in enumerate(f.entries)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -280,7 +291,7 @@ class Elem3(_Tensor):
     t = property(_Tensor._dense)
 
     def is_zero(self) -> bool:
-        return not any(self.map.column(0))
+        return not any(cs for cs, _ in self.map.nonzeros)
 
 
 class BiForm(_Tensor):
@@ -291,7 +302,7 @@ class BiForm(_Tensor):
     def __call__(self, a: Vec, b: Vec) -> Q:
         _same_dim(self, a)
         _same_dim(a, b)
-        return (self.map @ a.map.tensor(b.map)).a[0][0]
+        return _only_cell(self.map @ a.map.tensor(b.map))
 
 
 # ---------------------------------------------------------------------------
@@ -443,56 +454,61 @@ def _gather(rows: int, cells: Iterable) -> list:
     return [(tuple(cs), tuple(vs)) if cs else _NO_CELLS for cs, vs in out]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class LinMap:
-    """An exact linear map; a[r][c] with cols indexing the source basis.
+    """An exact linear map from the source basis (columns) to the target
+    basis (rows).
 
-    ``a`` holds dense rows of Fractions. ``nonzeros`` is a per-row view of
-    the nonzero cells as (columns ascending, values); it is cached on the
-    instance outside the dataclass fields, so it takes no part in ==, hash
-    or repr. Every operation reads and writes nonzero cells only, and hands
-    its result the view it computed.
+    The stored form is ``nonzeros``: for each row, its nonzero cells as
+    (columns ascending, values), all Fractions, with no zero cell. It is
+    canonical, so the dataclass ==, hash and every operation read it, and
+    each operation writes only the view of its result. ``a``, the dense
+    rows of Fractions, is a read-only view built on first read and cached;
+    the kernel never asks for it. ``LinMap(rows, cols, a)`` builds a map
+    from dense rows of anything Fraction accepts. Instances are immutable.
     """
 
     rows: int
     cols: int
-    a: tuple[tuple[Q, ...], ...]
+    nonzeros: tuple[tuple[tuple[int, ...], tuple[Q, ...]], ...]
+
+    def __init__(self, rows: int, cols: int, a: Sequence[Sequence]):
+        if len(a) != rows or any(len(row) != cols for row in a):
+            raise DimensionMismatch(f"LinMap shape {len(a)} rows, expected {rows}x{cols}")
+        self.__dict__.update(rows=rows, cols=cols,
+                             nonzeros=tuple(_row_view(_coerce(row)) for row in a))
+        self.__post_init__()
 
     def __post_init__(self):
-        # Maps built by _exact arrive with exact cells and their view.
-        if "nonzeros" not in self.__dict__:
-            object.__setattr__(self, "a", tuple(_coerce(row) for row in self.a))
-        if len(self.a) != self.rows or any(len(r) != self.cols for r in self.a):
-            raise DimensionMismatch(f"LinMap shape {len(self.a)} rows, expected {self.rows}x{self.cols}")
-
-    @classmethod
-    def _exact(cls, rows: int, cols: int, a: tuple, nonzeros: tuple | None = None) -> "LinMap":
-        """The private constructor: dense rows whose cells are already
-        Fractions, and optionally their view; skips _coerce."""
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, a=a,
-                          nonzeros=tuple(map(_row_view, a)) if nonzeros is None else nonzeros)
-        m.__post_init__()
-        return m
+        """The shape check every constructor runs last."""
+        if len(self.nonzeros) != self.rows or any(
+                cs and (cs[0] < 0 or cs[-1] >= self.cols) for cs, _ in self.nonzeros):
+            raise DimensionMismatch(f"LinMap view of {len(self.nonzeros)} rows does not fit "
+                                    f"{self.rows}x{self.cols}")
 
     @classmethod
     def _from_nonzeros(cls, rows: int, cols: int, nonzeros: Sequence) -> "LinMap":
-        """The map with the given view; fills in the dense rows."""
-        blank = (ZERO,) * cols
-        a = []
-        for cs, vs in nonzeros:
-            if cs:
-                row = list(blank)
-                for c, v in zip(cs, vs):
-                    row[c] = v
-                a.append(tuple(row))
-            else:
-                a.append(blank)
-        return cls._exact(rows, cols, tuple(a), tuple(nonzeros))
+        """The private constructor: the map with the given canonical view."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, nonzeros=tuple(nonzeros))
+        m.__post_init__()
+        return m
 
-    @functools.cached_property
-    def nonzeros(self) -> tuple[tuple[tuple[int, ...], tuple[Q, ...]], ...]:
-        return tuple(map(_row_view, self.a))
+    def _dense_rows(self) -> tuple[tuple[Q, ...], ...]:
+        """The dense rows of Fractions, a[r][c]."""
+        out = []
+        for cs, vs in self.nonzeros:
+            row = [ZERO] * self.cols
+            for c, v in zip(cs, vs):
+                row[c] = v
+            out.append(tuple(row))
+        return tuple(out)
+
+    a = functools.cached_property(_dense_rows)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, "
+                f"a={self._dense_rows()!r})")
 
     @staticmethod
     def identity(n: int) -> "LinMap":
@@ -561,8 +577,7 @@ class LinMap:
         order = [0] * self.rows
         for src, dst in enumerate(_leg_targets(dims, perm, self.rows)):
             order[dst] = src
-        return LinMap._exact(self.rows, self.cols, tuple(self.a[s] for s in order),
-                             tuple(self.nonzeros[s] for s in order))
+        return LinMap._from_nonzeros(self.rows, self.cols, [self.nonzeros[s] for s in order])
 
     def _combine(self, other: "LinMap", negate: bool) -> "LinMap":
         out = []
@@ -598,14 +613,23 @@ class LinMap:
             (cs, tuple(s * v for v in vs)) for cs, vs in self.nonzeros])
 
     def column(self, c: int) -> tuple[Q, ...]:
-        return tuple(row[c] for row in self.a)
+        out = []
+        for cs, vs in self.nonzeros:
+            i = bisect.bisect_left(cs, c)
+            out.append(vs[i] if i < len(cs) and cs[i] == c else ZERO)
+        return tuple(out)
 
     def differing_columns(self, other: "LinMap") -> list[int]:
-        """The columns, ascending, in which self and other differ."""
+        """The columns, ascending, in which self and other differ, found row
+        by row: views are canonical, so equal rows are skipped whole."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("comparing maps of different shape")
-        mine, theirs = self.transpose().nonzeros, other.transpose().nonzeros
-        return [c for c in range(self.cols) if mine[c] != theirs[c]]
+        bad: set[int] = set()
+        for row, orow in zip(self.nonzeros, other.nonzeros):
+            if row != orow:
+                mine, theirs = dict(zip(*row)), dict(zip(*orow))
+                bad.update(c for c in mine.keys() | theirs.keys() if mine.get(c) != theirs.get(c))
+        return sorted(bad)
 
     def apply_flat(self, coeffs: Sequence[Q]) -> tuple[Q, ...]:
         if len(coeffs) != self.cols:
@@ -627,12 +651,13 @@ def endo_tensor(*fs: Endo) -> Endo:
 
 def elem_map(coeffs: Sequence[Q]) -> LinMap:
     """A vector (of any tensor power, flat row-major) as the map K -> V."""
-    return LinMap._exact(len(coeffs), 1, tuple((c,) for c in coeffs))
+    return LinMap._from_nonzeros(len(coeffs), 1, [((0,), (c,)) if c else _NO_CELLS
+                                                  for c in coeffs])
 
 
 def form_map(coeffs: Sequence[Q]) -> LinMap:
     """A functional (on any tensor power, flat row-major) as the map V -> K."""
-    return LinMap._exact(1, len(coeffs), (tuple(coeffs),))
+    return LinMap._from_nonzeros(1, len(coeffs), (_row_view(coeffs),))
 
 
 def outer_flat(x: Sequence[Q], y: Sequence[Q]) -> tuple[Q, ...]:

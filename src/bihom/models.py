@@ -295,8 +295,14 @@ def load(path: str, block: str | None = None) -> ModelFile:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
+    except OSError as exc:     # a directory, no permission
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     model = model_from_dict(doc, name_hint=path)
     if block is not None and getattr(model, block) is None:
         raise ParseError(f"{path}: no {block!r} block")
@@ -317,11 +323,11 @@ def entries_out(rec) -> list:
 
 
 def _matrix_out(endo: Endo) -> list:
-    return [[scalar_render(x) for x in row] for row in endo.map.a]
+    return [[scalar_render(x) for x in row] for row in endo.entries]
 
 
 def _vector_out(vec) -> list:
-    return [scalar_render(x) for row in vec.map.a for x in row]
+    return [scalar_render(x) for x in vec.coeffs]
 
 
 def model_to_dict(model: ModelFile) -> dict:

@@ -125,6 +125,25 @@ def test_invalid_json_names_line(tmp_path):
         models.load(str(path))
 
 
+@pytest.mark.parametrize("content", [
+    b'{"name": "\xff", "dim": 1}',   # not UTF-8
+    None,                            # the path is a directory
+    b"[" * 100_000,                  # nested deeper than the parser recurses
+], ids=["non-utf8", "directory", "deep-nesting"])
+def test_unreadable_input_exits_2_with_one_error_line(tmp_path, content):
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    proc = subprocess.run([sys.executable, "-m", "bihom.cli", "verify", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and str(path) in lines[0]
+
+
 def test_verify_exit_codes(workdir, capsys):
     _, put = workdir
     assert run(["verify", put("dual-numbers")]) == 0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 from fractions import Fraction as Q
@@ -13,7 +14,7 @@ from bihom.exactcore import (
     comul_apply, mul_apply, render_elem2, render_vec, scalar_parse,
     scalar_render, tensor_vv,
 )
-from bihom import axioms, catalog, exactcore, models
+from bihom import axioms, catalog, cli, exactcore, models
 
 ID2 = Endo.identity(2)
 
@@ -441,6 +442,34 @@ def test_differing_columns():
         f.differing_columns(f.transpose())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_comparison_and_readers_match_dense_reference(data):
+    r, cols = data.draw(_side), data.draw(_side)
+    x = data.draw(_rows(r, cols))
+    y = data.draw(st.one_of(st.just([list(row) for row in x]), _rows(r, cols)))
+    for i in data.draw(st.sets(st.integers(0, r - 1))):
+        y[i] = [Q(0)] * cols                            # empty rows
+    w = _cancelling(data.draw, y)
+    f = LinMap(r, cols, x)
+    g = LinMap(r, cols, y) + LinMap(r, cols, w)         # cancels exactly on some cells
+    z = [[y[i][j] + w[i][j] for j in range(cols)] for i in range(r)]
+    for m, ref in ((f, x), (g, z)):
+        for j in range(cols):
+            assert m.column(j) == tuple(ref[i][j] for i in range(r))
+    differ = [j for j in range(cols) if any(x[i][j] != z[i][j] for i in range(r))]
+    assert f.differing_columns(g) == g.differing_columns(f) == differ
+    assert g.differing_columns(LinMap(r, cols, z)) == []
+    assert (g - LinMap(r, cols, w)).differing_columns(LinMap(r, cols, y)) == []
+
+    n = data.draw(_side)
+    u, a, b = (data.draw(_rows(1, n))[0] for _ in range(3))
+    s = data.draw(_rows(n, n))
+    assert Covec(n, u)(Vec(n, a)) == sum((u[i] * a[i] for i in range(n)), Q(0))
+    assert BiForm(n, s)(Vec(n, a), Vec(n, b)) == sum(
+        (s[i][j] * a[i] * b[j] for i in range(n) for j in range(n)), Q(0))
+
+
 # ---------------------------------------------------------------------------
 # built maps are not coerced again
 
@@ -478,6 +507,24 @@ def test_check_infbh_bialgebra_barely_coerces(coerce_calls):
     coerce_calls[0] = 0
     assert axioms.check_infbh_bialgebra(b).violations
     assert coerce_calls[0] <= 24
+
+
+def test_kernel_results_stay_sparse(monkeypatch, capsys):
+    """A check and a rendered report read no map's dense rows: every map
+    built holds only its view of nonzero cells."""
+    built = []
+    init = LinMap.__post_init__
+
+    def record(self):
+        init(self)
+        built.append(self)
+
+    monkeypatch.setattr(LinMap, "__post_init__", record)
+    path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "trunc-poly-7.json")
+    assert axioms.check_infbh_bialgebra(models.load(path).as_bialgebra()).violations
+    assert cli.run(["verify", path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"]
+    assert built and not [m for m in built if "a" in m.__dict__]
 
 
 @pytest.mark.parametrize("record", [Vec, Covec, Endo, Mul, Comul, Elem2, Elem3, BiForm])
