@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from . import axioms, ybe
+from .errors import ParseError
 from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
 from .models import ModelFile
 from .structures import Algebra
@@ -106,7 +107,7 @@ def names() -> list[str]:
 
 def entry(name: str) -> ModelFile:
     if name not in _BUILDERS:
-        raise KeyError(f"no catalog entry named {name!r}")
+        raise ParseError(f"no catalog entry named {name!r}")
     return _BUILDERS[name]()
 
 

@@ -141,17 +141,22 @@ def trivial_product(c: Coalgebra, alpha: Endo, beta: Endo, weight, side: str = "
 
 
 # ---------------------------------------------------------------------------
-# duality
+# duality: a coalgebra-side construction on C is its algebra-side twin on the
+# dual algebra C* = _dual_algebra(C), transposed back; a bilinear form sigma
+# on C is the element sigma^T of C* (x) C*. Preconditions are checked on C first.
 
 
 def dualize(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra on the dual basis (an involution)."""
-    n = b.dim
-    c_ = b.coalgebra
-    mul = Mul(n, c_.comul.map.transpose())
-    unit = Vec(n, c_.counit.map.transpose()) if c_.counit is not None else None
-    return Bialgebra(Algebra(n, mul, c_.omega.transpose(), c_.psi.transpose(), unit),
-                     dual_coalgebra(b.algebra), b.weight)
+    return Bialgebra(_dual_algebra(b.coalgebra), dual_coalgebra(b.algebra), b.weight)
+
+
+def _dual_algebra(c: Coalgebra) -> Algebra:
+    """The algebra on the dual basis of a coalgebra (with its evaluation unit)."""
+    n = c.dim
+    mul = Mul(n, c.comul.map.transpose())
+    unit = Vec(n, c.counit.map.transpose()) if c.counit is not None else None
+    return Algebra(n, mul, c.omega.transpose(), c.psi.transpose(), unit)
 
 
 def dual_coalgebra(a: Algebra) -> Coalgebra:
@@ -192,23 +197,16 @@ def aug_tensor_product(x: Augmented, y: Augmented) -> tuple[Algebra, Augmented]:
 
 
 def coaug_tensor_product(x: Coaugmented, y: Coaugmented) -> tuple[Coalgebra, Coaugmented]:
-    """The weighted tensor-product coalgebra of two coaugmented coalgebras."""
+    """The weighted tensor-product coalgebra of two coaugmented coalgebras:
+    the dual of the tensor-product algebra of their duals."""
     if x.weight != y.weight:
         raise WeightMismatch(f"weights {x.weight} and {y.weight} differ")
-    c_co, d_co = x.coalgebra, y.coalgebra
-    nc, nd = c_co.dim, d_co.dim
-    dim = nc * nd
-    w = x.weight
-    zeta_c, zeta_d = x.zeta.map, y.zeta.map
-    left = c_co.omega.map.tensor(zeta_c)     # c -> omega_C(c) (x) 1_C
-    right = zeta_d.tensor(d_co.psi.map)      # d -> 1_D (x) psi_D(d)
-    comul = Comul(dim, (c_co.comul.map.tensor(right) + left.tensor(d_co.comul.map)
-                       + left.tensor(right).scale(w)).permute_rows((nc, nc, nd, nd), (0, 2, 1, 3)))
-    psi = endo_tensor(c_co.psi, d_co.psi)
-    omega = endo_tensor(c_co.omega, d_co.omega)
-    zeta = Vec(dim, zeta_c.tensor(zeta_d))
-    coalgebra = Coalgebra(dim, comul, psi, omega, counit=None)
-    return coalgebra, Coaugmented(coalgebra, zeta, w)
+    duals = (Augmented(_dual_algebra(z.coalgebra), Covec(z.coalgebra.dim, z.zeta.map.transpose()),
+                       z.weight) for z in (x, y))
+    algebra, product = aug_tensor_product(*duals)
+    coalgebra = dual_coalgebra(algebra)
+    return coalgebra, Coaugmented(coalgebra, Vec(algebra.dim, product.chi.map.transpose()),
+                                  product.weight)
 
 
 def check_delta_morphism(b: Bialgebra) -> axioms.Report:
@@ -304,27 +302,10 @@ def mu_sigma(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
     for f, name in ((alpha, "alpha"), (beta, "beta"), (c.psi, "psi"), (c.omega, "omega")):
         if not biform_invariant_under(f, sigma):
             raise NotInvariant(f"sigma is not {name}-invariant")
-    mul = Mul(c.dim, _mu_sigma_map(c, alpha, beta, sigma, weight, anti))
+    r = Elem2(c.dim, sigma.map.transpose())
+    dmap = _delta_r_map(_dual_algebra(c), beta.transpose(), alpha.transpose(), r, weight, anti)
+    mul = Mul(c.dim, dmap.transpose())
     return Bialgebra(Algebra(c.dim, mul, alpha, beta, unit=None), c, weight)
-
-
-def _mu_sigma_map(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
-                  weight: Q, anti: bool) -> LinMap:
-    """The induced product as a map A (x) A -> A, preconditions assumed
-    already verified:
-
-        (alpha omegainv (x) sigma)(Delta (x) psi) - (sigma (x) beta psiinv)(omega (x) Delta)
-        - weight * (alpha (x) eps)          (anti: weight * (eps (x) beta))
-    """
-    omega_inv = endo_inverse(c.omega)
-    psi_inv = endo_inverse(c.psi)
-    de = c.comul.map
-    sig = sigma.map
-    eps = c.counit.map
-    tail = eps.tensor(beta.map) if anti else alpha.map.tensor(eps)
-    return ((alpha @ omega_inv).map.tensor(sig) @ de.tensor(c.psi.map)
-            - sig.tensor((beta @ psi_inv).map) @ c.omega.map.tensor(de)
-            - tail.scale(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -615,20 +596,12 @@ def prelie_coalgebra(b: Bialgebra, noninv: bool = False) -> PreLieCoalgebra:
         psi_out = c_.psi @ c_.omega @ c_.omega
         omega_out = (a_.alpha @ a_.beta @ c_.psi) @ c_.psi @ c_.omega @ c_.omega
     else:
-        for f in (a_.alpha, a_.beta, c_.psi, c_.omega):
-            endo_inverse(f)
         omega_inv = endo_inverse(c_.omega)
         first_map = endo_inverse(c_.psi)
         lead_map = (endo_inverse(a_.alpha) @ c_.psi) @ omega_inv @ omega_inv
         tail_map = endo_inverse(a_.beta)
         psi_out = c_.psi
         omega_out = c_.omega
-    de = c_.comul.map
-    right = a_.mul.map @ lead_map.map.tensor(tail_map.map)
-    # (Delta (x) id) Delta is Delta after Delta's table read as the n x n^2 matrix
-    # [c_1][(c_2, c)]; with its legs as (c_11, c_2, c_12), right acts on the first
-    # two and first on the last, then the legs swap: first(c_12) (x) right(c_11, c_2)
-    twice = (de @ de.reshape(n, n * n)).reshape(n ** 3, n).permute_rows((n, n, n), (0, 2, 1))
-    acted = (right @ twice.reshape(n * n, n * n)).reshape(n * n, n)
-    delta = (LinMap.identity(n).tensor(first_map.map) @ acted).permute_rows((n, n), (1, 0))
-    return PreLieCoalgebra(n, Comul(n, delta), psi_out, omega_out)
+    star = _prelie_star(dualize(b), lead_map.transpose(), first_map.transpose(),
+                        tail_map.transpose())
+    return PreLieCoalgebra(n, Comul(n, star.map.transpose()), psi_out, omega_out)

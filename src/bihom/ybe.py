@@ -9,6 +9,9 @@ solves the equation at weight -w while the ambient structure keeps its own
 weight. Reports carry the full residual so tests can assert coefficient
 patterns of near-solutions, plus the four characterization booleans
 evaluated through the induced (co)products.
+
+The coalgebra side is computed on the dual algebra: the co-residual of a
+bilinear form sigma on a coalgebra C is the residual of sigma^T on C*.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, biform_invariant_under,
-    elem3_build, elem3_map, elem_map, endo_inverse, endo_is_invertible, form_map, outer_flat,
-    square_map,
+    ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, elem3_build, elem3_map, elem_map,
+    endo_inverse, endo_is_invertible, form_map, outer_flat, square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
@@ -138,76 +140,19 @@ def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
 
 def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,
                       anti: bool = False) -> YbeReport:
-    """Residual of a bilinear form on a counital coalgebra, as the rank-3
-    value tensor of the defining identity's LHS minus RHS on basis triples."""
-    weight = Q(weight)
+    """The co-residual of a bilinear form on a counital coalgebra: the
+    residual of r = sigma^T on the dual algebra, with psi = beta^T and
+    omega = alpha^T. The characterizations of the r-induced coproducts there
+    are those of the sigma-induced products, (01.06)-(01.11), here."""
     if c.counit is None:
         raise MissingCounit("the co-residual needs the counit")
     if sigma.dim != c.dim:
         raise DimensionMismatch(f"sigma has dim {sigma.dim}, the coalgebra has dim {c.dim}")
-    n = c.dim
-    sign = -weight if anti else weight
-    i1 = LinMap.identity(n)
-    al, be = alpha.map, beta.map
-    ps, om = c.psi.map, c.omega.map
-    de = c.comul.map
-    sig = sigma.map
-    eps = c.counit.map
-
-    # each term is a functional on basis triples (i, j, k): two sigma values,
-    # each an n x n matrix pair(f, g), summed against Delta of the third
-    # index. contract reads the row of left, the row of right and the
-    # argument of Delta as the indices perm[0], perm[1], perm[2] of (i, j, k).
-    def pair(f: LinMap, g: LinMap) -> LinMap:      # [u][v] = sigma(f(u), g(v))
-        return f.transpose() @ sig.reshape(n, n) @ g
-
-    def contract(left: LinMap, right: LinMap, perm) -> LinMap:
-        return (left.tensor(right) @ de).reshape(1, n ** 3).permute_cols((n,) * 3, perm)
-
-    term1 = contract(pair(al, be @ om).transpose(), pair(i1, ps).transpose(), (2, 1, 0))
-    term2 = contract(pair(om, i1), pair(i1, ps).transpose(), (0, 2, 1))
-    term3 = contract(pair(om, i1), pair(al @ ps, be), (1, 0, 2))
-    s_a_b_eps = (sig @ al.tensor(be)).tensor(eps).permute_cols((n,) * 3, (0, 2, 1))
-    value = term1 - term2 + term3 - s_a_b_eps.scale(sign)
-    residual = Elem3(n, value.transpose())
-
-    characterization: dict[str, bool] = {}
-    invariant = all(biform_invariant_under(f, sigma) for f in (alpha, beta, c.psi, c.omega))
-    if invariant and endo_is_invertible(c.psi) and endo_is_invertible(c.omega):
-        try:
-            characterization.update(_coqt_characterization(
-                c, alpha, beta, sigma, weight, sig, term1, term3, s_a_b_eps))
-        except BihomError:
-            characterization = {}
-    return YbeReport(residual, residual.is_zero(), characterization)
-
-
-def _coqt_characterization(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm,
-                           weight: Q, sig: LinMap, term1: LinMap, term3: LinMap,
-                           s_a_b_eps: LinMap) -> dict[str, bool]:
-    """The product and dual characterizations of both induced products, as
-    functionals on basis triples (i, j, k)."""
-    n = c.dim
-    i1 = LinMap.identity(n)
-    eps = c.counit.map
-    s_id_b = sig @ i1.tensor(beta.map)       # sigma(u, beta(k))
-    s_a_id = sig @ alpha.map.tensor(i1)      # sigma(alpha(i), u)
-
-    characterization: dict[str, bool] = {}
-    for anti_flag, key_prod, key_dual in ((False, "(01.06)", "(01.07)"),
-                                          (True, "(01.10)", "(01.11)")):
-        mu = constructions._mu_sigma_map(c, alpha, beta, sigma, weight, anti_flag)
-        lhs = s_id_b @ mu.tensor(i1)                 # sigma(ij, beta(k))
-        rhs = term3.scale(-1)
-        lhs2 = s_a_id @ i1.tensor(mu)                # sigma(alpha(i), jk)
-        rhs2 = term1
-        if anti_flag:
-            rhs = rhs - (s_a_b_eps + eps.tensor(sig)).scale(weight)
-        else:
-            rhs2 = rhs2 - (s_a_b_eps + sig.tensor(eps)).scale(weight)
-        characterization[key_prod] = lhs == rhs
-        characterization[key_dual] = lhs2 == rhs2
-    return characterization
+    report = abhybe_residual(constructions._dual_algebra(c), beta.transpose(), alpha.transpose(),
+                             Elem2(c.dim, sigma.map.transpose()), weight, anti)
+    keys = {"(14.8)": "(01.06)", "(14.9)": "(01.07)", "(14.28)": "(01.10)", "(14.29)": "(01.11)"}
+    return YbeReport(report.residual, report.is_solution,
+                     {keys[k]: v for k, v in report.characterization.items()})
 
 
 def _grid(n: int, coeff_set, guard: int) -> list[Q]:

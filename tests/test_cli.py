@@ -278,6 +278,13 @@ def test_catalog_verbs(capsys):
     capsys.readouterr()
 
 
+def test_unknown_catalog_name_exits_2_with_its_name(capsys):
+    assert run(["catalog", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no catalog entry named 'nosuch'\n"
+
+
 def test_unknown_verb_exits_2(capsys):
     assert run(["frobnicate"]) == 2
     capsys.readouterr()

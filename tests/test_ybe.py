@@ -276,31 +276,41 @@ def _brute_force(a, psi, omega, weight, grid, require_invariant):
 
 
 @st.composite
-def _unital_hosts(draw):
-    """(algebra, psi, omega, unit coefficients) on dim 2-3: e_0 is the
-    unit, the other products are small integers and mostly zero, the
-    twists are diagonal with entries +-1 and fix e_0. All of it is
-    conjugated by a random integer change of basis, which moves the unit
-    and makes the twists non-diagonal."""
-    n = draw(st.sampled_from([2, 2, 2, 3]))
-    entry = st.sampled_from([Q(0)] * (3 * n - 3) + [Q(1), Q(-1), Q(2)])
-    c = [[[Q(int(k == i + j)) if 0 in (i, j) else draw(entry) for k in range(n)]
-          for j in range(n)] for i in range(n)]
-
+def _basis_change(draw, n):
+    """A random integer change of basis p, a product of a lower and an
+    upper unipotent matrix, and its inverse, as LinMaps."""
     def unipotent(upper):
         return LinMap(n, n, [[Q(int(i == j)) if (i > j) == upper or i == j
                               else draw(st.sampled_from([0] * (n - 1) + [1, -1]))
                               for j in range(n)]
                              for i in range(n)])
     p = unipotent(False) @ unipotent(True)
-    p_inv = endo_inverse(Endo(n, p.a)).map
+    return p, endo_inverse(Endo(n, p.a)).map
 
-    def twist():
-        d = [Q(1)] + [draw(st.sampled_from([Q(1), Q(-1)])) for _ in range(n - 1)]
-        return Endo(n, p_inv @ Endo.diagonal(d).map @ p)
+
+@st.composite
+def _unital_hosts(draw, graded=False):
+    """(algebra, psi, omega, unit coefficients) on dim 2-3: e_0 is the
+    unit, the other products are small integers and mostly zero, the
+    twists are diagonal with entries +-1 and fix e_0. All of it is
+    conjugated by a random integer change of basis, which moves the unit
+    and makes the twists non-diagonal. With graded, e_i e_j has no e_k
+    part unless d_i d_j = d_k on every twist's diagonal d, so the four
+    twists are algebra morphisms."""
+    n = draw(st.sampled_from([2, 2, 2, 3]))
+    entry = st.sampled_from([Q(0)] * (3 * n - 3) + [Q(1), Q(-1), Q(2)])
+    c = [[[Q(int(k == i + j)) if 0 in (i, j) else draw(entry) for k in range(n)]
+          for j in range(n)] for i in range(n)]
+    p, p_inv = draw(_basis_change(n))
+    diags = [[Q(1)] + [draw(st.sampled_from([Q(1), Q(-1)])) for _ in range(n - 1)]
+             for _ in range(4)]
+    if graded:
+        c = [[[x if all(d[i] * d[j] == d[k] for d in diags) else Q(0) for k, x in enumerate(row)]
+              for j, row in enumerate(plane)] for i, plane in enumerate(c)]
+    alpha, beta, psi, omega = (Endo(n, p_inv @ Endo.diagonal(d).map @ p) for d in diags)
     mul = Mul(n, p_inv @ Mul(n, c).map @ p.tensor(p))
     unit = p_inv.column(0)
-    return Algebra(n, mul, twist(), twist(), Vec(n, unit)), twist(), twist(), unit
+    return Algebra(n, mul, alpha, beta, Vec(n, unit)), psi, omega, unit
 
 
 @settings(max_examples=40, deadline=None)
