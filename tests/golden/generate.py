@@ -317,6 +317,11 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
             add(["search-r", "@in/trunc-poly-2.json", "--coeffs=-1,0,1", *any_r, *fmt])
     # 3^16 candidates: refused by the guard before any work
     add(["search-r", "@in/trunc-poly-3.json", "--coeffs=-1,0,1"])
+    # every input as its inferred kind: passing, failing and unreadable
+    # structures pin the reports' labels, index tuples and renderings
+    for name in sorted(os.listdir(INPUTS)):
+        for fmt in ([], ["--json"]):
+            add(["verify", f"@in/{name}", *fmt])
     ids = [c[0] for c in cases]
     assert len(ids) == len(set(ids)), "case ids collide"
     return cases
