@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction as Q
 
 from . import axioms, ybe
+from .constructions import trivial_coproduct, yau_twist
 from .errors import ParseError
 from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
-from .models import ModelFile
-from .structures import Algebra
+from .models import ModelFile, structure_to_model
 
 _ID2 = Endo.identity(2)
 
@@ -37,12 +37,9 @@ def _kz2() -> ModelFile:
 
 def _kz2_yau() -> ModelFile:
     # the kz2 structure twisted by g -> -g in all four slots
-    from .constructions import yau_twist
     theta = Endo(2, ((1, 0), (0, -1)))
-    twisted = yau_twist(_kz2().as_bialgebra(), theta, theta, theta, theta)
-    from .models import structure_to_model
-    model = structure_to_model(twisted, "kz2-yau")
-    return model
+    return structure_to_model(yau_twist(_kz2().as_bialgebra(), theta, theta, theta, theta),
+                              "kz2-yau")
 
 
 def _trunc_poly(order: int) -> ModelFile:
@@ -59,15 +56,9 @@ def _trunc_poly(order: int) -> ModelFile:
 
 
 def _trivial(side: str) -> ModelFile:
-    # weight-1 coproduct a -> -(a (x) 1) resp. -(1 (x) a) on the dual numbers
-    base = _dual_numbers()
-    if side == "left":
-        comul = Comul(2, {(0, 0, 0): -1, (1, 1, 0): -1})
-    else:
-        comul = Comul(2, {(0, 0, 0): -1, (1, 0, 1): -1})
-    return ModelFile(f"trivial-{side}", 2, weight=Q(1), mul=base.mul, comul=comul,
-                     unit=base.unit,
-                     maps={"alpha": _ID2, "beta": _ID2, "psi": _ID2, "omega": _ID2})
+    # the weight-1 coproduct a -> -(a (x) 1) resp. -(1 (x) a) on the dual numbers
+    algebra = _dual_numbers().as_algebra()
+    return structure_to_model(trivial_coproduct(algebra, _ID2, _ID2, 1, side), f"trivial-{side}")
 
 
 def _qt_one() -> ModelFile:

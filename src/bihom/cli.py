@@ -204,6 +204,8 @@ def _pick_map(block: dict | None, key: str, default: Endo) -> Endo:
 
 
 def _cmd_hopf_module(args) -> int:
+    if args.vdim < 0:
+        raise BihomError(f"--vdim must be a non-negative integer, got {args.vdim}")
     model = models.load(args.file)
     b = model.as_bialgebra()
     variant = args.source.replace("-", "_")

@@ -537,13 +537,6 @@ def dendriform_from_rb(rb: RotaBaxter, variant: str = "prec") -> Dendriform:
     return Dendriform(n, Mul(n, prec), Mul(n, succ), a.alpha, a.beta)
 
 
-def dendriform_from_qt(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
-                       variant: str = "prec") -> Dendriform:
-    """Compose the Rota-Baxter and dendriform constructions for a solution r."""
-    return dendriform_from_rb(rota_baxter_from_r(a, psi, omega, r, weight, sign="+"),
-                              variant=variant)
-
-
 def _prelie_star(b: Bialgebra, lead: Endo, mid: Endo, tail: Endo) -> Mul:
     """x * y = (lead(y_1) . mid(x)) . tail(y_2) as a product tensor."""
     n = b.dim

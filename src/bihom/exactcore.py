@@ -316,17 +316,6 @@ def mul_apply(m: Mul, a: Vec, b: Vec) -> Vec:
     return Vec(m.dim, m.map @ a.map.tensor(b.map))
 
 
-def comul_apply(d: Comul, a: Vec) -> Elem2:
-    """Linear extension of the coproduct to a, as an Elem2."""
-    _same_dim(d, a)
-    return Elem2(d.dim, d.map @ a.map)
-
-
-def tensor_vv(a: Vec, b: Vec) -> Elem2:
-    _same_dim(a, b)
-    return Elem2(a.dim, a.map.tensor(b.map))
-
-
 def square_map(f: Endo) -> LinMap:
     """f (x) f on A (x) A."""
     return f.map.tensor(f.map)
@@ -729,14 +718,6 @@ def render_flat(coeffs: Sequence[Q], dims: Sequence[int], legs: Sequence[str]) -
     for term in terms[1:]:
         text += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
     return text
-
-
-def render_vec(v: Vec, leg: str = "e") -> str:
-    return render_flat(v.map.column(0), (v.dim,), (leg,))
-
-
-def render_elem2(r: Elem2, legs: Sequence[str] = ("e", "e")) -> str:
-    return render_flat(r.map.column(0), (r.dim, r.dim), legs)
 
 
 def render_elem3(t: Elem3, legs: Sequence[str] = ("e", "e", "e")) -> str:

@@ -239,8 +239,8 @@ def _parse_record(cls, raw, dim: int, where: str):
 
 def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
     if not isinstance(raw, dict) or "dim" not in raw or not _is_int(raw["dim"]) \
-            or raw["dim"] <= 0:
-        raise ParseError(f"{where}: expected an object with a positive integer 'dim'")
+            or raw["dim"] < 0:
+        raise ParseError(f"{where}: expected an object with a non-negative integer 'dim'")
     dim = raw["dim"]
     out: dict = {"dim": dim}
     for key in _MAP_KEYS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NonCommutingMaps, NonMultiplicativeMap
 from .exactcore import (
-    Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Q, Vec, endo_tensor, first_noncommuting,
+    Comul, Covec, Endo, LinMap, Mul, Q, Vec, endo_tensor, first_noncommuting,
     first_nonmultiplicative, mul_apply, table_map,
 )
 
@@ -333,38 +333,6 @@ def twisted_right_action(a_alg: Algebra, psi: Endo, t: LinMap, legs: int) -> Lin
     return (t @ mul).reshape(rest * n, n)
 
 
-def act_pair_left(a_alg: Algebra, omega: Endo, a: Vec, xy: Elem2) -> Elem2:
-    """a |> (x (x) y) = omega(a)x (x) beta(y), extended bilinearly."""
-    n = a_alg.dim
-    if a.dim != n or xy.dim != n or omega.dim != n:
-        raise DimensionMismatch("left pair action operands disagree on dim")
-    return Elem2(n, twisted_left_action(a_alg, omega, xy.map, 2) @ a.map)
-
-
-def act_pair_right(a_alg: Algebra, psi: Endo, xy: Elem2, a: Vec) -> Elem2:
-    """(x (x) y) <| a = alpha(x) (x) y.psi(a), extended bilinearly."""
-    n = a_alg.dim
-    if a.dim != n or xy.dim != n or psi.dim != n:
-        raise DimensionMismatch("right pair action operands disagree on dim")
-    return Elem2(n, twisted_right_action(a_alg, psi, xy.map, 2) @ a.map)
-
-
-def act_triple(a_alg: Algebra, psi: Endo, omega: Endo, side: str, a: Vec, t: Elem3) -> Elem3:
-    """The twisted actions on triple tensors.
-
-    side='left':  a |> (x (x) y (x) z) = omega(a)x (x) beta(y) (x) beta(z)
-    side='right': (x (x) y (x) z) <| a = alpha(x) (x) alpha(y) (x) z.psi(a)
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = a_alg.dim
-    if a.dim != n or t.dim != n:
-        raise DimensionMismatch("triple action operands disagree on dim")
-    action = (twisted_left_action(a_alg, omega, t.map, 3) if side == "left"
-              else twisted_right_action(a_alg, psi, t.map, 3))
-    return Elem3(n, action @ a.map)
-
-
 def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
                     m: Bimodule, n_mod: Bimodule, v: Bimodule) -> Bimodule:
     """The bimodule structure on M (x) N (x) V.
@@ -397,11 +365,6 @@ def bimodule_triple(a_alg: Algebra, psi_a: Endo, omega_a: Endo,
         alpha_m=endo_tensor(m.alpha_m, n_mod.alpha_m, v.alpha_m),
         beta_m=endo_tensor(m.beta_m, n_mod.beta_m, v.beta_m),
     )
-
-
-def regular_bimodule(a_alg: Algebra) -> Bimodule:
-    """A acting on itself on both sides by its own multiplication."""
-    return Bimodule(a_alg, a_alg.dim, a_alg.mul.map, a_alg.mul.map, a_alg.alpha, a_alg.beta)
 
 
 def regular_left_module(a_alg: Algebra) -> LeftModule:

@@ -157,8 +157,12 @@ def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weig
 
 def _grid(n: int, coeff_set, guard: int) -> list[Q]:
     """The sorted grid values on dim n, refused when the number of
-    candidates exceeds the guard."""
+    candidates exceeds the guard. Two or more values on more coordinates
+    than the guard has bits are refused without computing that number,
+    which has 4,772 digits for three values at dim 100."""
     coeffs = sorted({Q(x) for x in coeff_set})
+    if len(coeffs) > 1 and n * n > guard.bit_length():
+        raise SearchSpaceTooLarge(f"{len(coeffs)}^{n * n} candidates exceed the guard of {guard}")
     total = len(coeffs) ** (n * n)
     if total > guard:
         raise SearchSpaceTooLarge(f"{total} candidates exceed the guard of {guard}")
@@ -271,15 +275,4 @@ def grid_search_r(a: Algebra, psi: Endo, omega: Endo, weight,
     coeffs = _grid(a.dim, coeff_set, guard)
     system = _system(a.dim, _residual_maps(a, psi, omega, Q(weight), anti=False),
                      _squares(a, psi, omega) if require_invariant else ())
-    return [_as_elem2(flat, a.dim) for flat in _walk(coeffs, system)]
-
-
-def grid_candidates(a: Algebra, psi: Endo, omega: Endo, coeff_set,
-                    require_invariant: bool = True,
-                    guard: int = 10_000_000) -> list[Elem2]:
-    """Every grid candidate (solutions and non-solutions alike), for the
-    equivalence sweeps that quantify over the whole grid; with invariance
-    required, the search of _walk on the invariance equations alone."""
-    coeffs = _grid(a.dim, coeff_set, guard)
-    system = _system(a.dim, None, _squares(a, psi, omega) if require_invariant else ())
     return [_as_elem2(flat, a.dim) for flat in _walk(coeffs, system)]

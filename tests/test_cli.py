@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -107,15 +108,24 @@ def test_boolean_dim_or_index_rejected(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("block", ["module", "comodule"])
-@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("dim", [-1])
 def test_non_positive_sub_block_dim_rejected(tmp_path, capsys, block, dim):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "mul": [], block: {"dim": dim, "action": []}}))
-    with pytest.raises(ParseError, match=f"field '{block}'"):
+    with pytest.raises(ParseError, match=f"field '{block}'.*non-negative"):
         models.load(str(path))
     for argv in (["verify", str(path)], ["verify", str(path), "--kind", "hopf-module"]):
         assert run(argv) == 2
         assert f"error: field '{block}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", ["module", "comodule"])
+def test_zero_dim_sub_block_is_accepted(tmp_path, block):
+    """A module or comodule on the zero space, as hopf-module --vdim 0
+    writes it; the model's own dim stays positive."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": 2, "mul": [], block: {"dim": 0, "action": []}}))
+    assert getattr(models.load(str(path)), block)["dim"] == 0
 
 
 def test_invalid_json_names_line(tmp_path):
@@ -257,6 +267,25 @@ def test_hopf_module_on_a_zero_dim_space(workdir, capsys):
     assert capsys.readouterr().out.startswith("PASS")
 
 
+def test_hopf_module_on_a_zero_dim_space_round_trips(workdir, capsys):
+    tmp, put = workdir
+    out = str(tmp / "h.json")
+    assert run(["hopf-module", put("kz2"), "--from", "plain", "--vdim", "0", "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["verify", out]) == 0
+    assert capsys.readouterr().out == "PASS: kz2-hopf-module as hopf-module\n"
+
+
+def test_hopf_module_negative_vdim_exits_2_naming_the_option(workdir, capsys):
+    tmp, put = workdir
+    out = tmp / "h.json"
+    assert run(["hopf-module", put("kz2"), "--from", "plain", "--vdim", "-1", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --vdim must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_search_r_verb(workdir, capsys):
     _, put = workdir
     dn = put("dual-numbers")
@@ -264,6 +293,20 @@ def test_search_r_verb(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 2
     assert [[0, 0, "1"]] in doc["solutions"]
+
+
+@pytest.mark.parametrize("dim", [60, 100])
+def test_search_r_guard_refuses_large_dims_at_once(tmp_path, capsys, dim):
+    """3^(dim^2) candidates: refused without computing the count, which at
+    dim 100 has more digits than Python converts to a string."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"name": "zero", "dim": dim, "mul": []}))
+    start = time.perf_counter()
+    assert run(["search-r", str(path), "--coeffs=-1,0,1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 3^{dim * dim} candidates exceed the guard of 10000000\n"
 
 
 def test_catalog_verbs(capsys):

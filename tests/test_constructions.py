@@ -7,7 +7,7 @@ from bihom.errors import (
     NotInvariant, NotMorphism, NotYBESolution, PreconditionFailed,
     SingularMap, WeightMismatch,
 )
-from bihom.exactcore import BiForm, Comul, Covec, Elem2, Endo, Mul, Vec, comul_apply
+from bihom.exactcore import BiForm, Comul, Covec, Elem2, Endo, Mul, Vec
 from bihom.structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented,
     regular_left_comodule, regular_left_module,
@@ -287,13 +287,6 @@ def test_dendriform_variants(dual_numbers, r_one):
     assert d_succ.prec.c == neg_mul
     assert all(x == 0 for p in d_succ.succ.c for r in p for x in r)
     assert axioms.check_dendriform(d_succ, full_axioms=True).passed
-
-
-def test_dendriform_from_qt_composes(dual_numbers, r_one):
-    direct = C.dendriform_from_qt(dual_numbers, ID2, ID2, r_one, 1)
-    via = C.dendriform_from_rb(
-        C.rota_baxter_from_r(dual_numbers, ID2, ID2, r_one, 1, sign="+"), "prec")
-    assert direct == via
 
 
 def test_prelie_from_bialgebra(passing_bialgebras):

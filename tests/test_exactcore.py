@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from bihom.errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
 from bihom.exactcore import (
     BiForm, Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
-    comul_apply, mul_apply, render_elem2, render_vec, scalar_parse,
-    scalar_render, tensor_vv,
+    mul_apply, render_flat, scalar_parse, scalar_render,
 )
 from bihom import axioms, catalog, cli, exactcore, models
 
@@ -116,20 +115,24 @@ def test_mul_apply_bilinear(s, i, j, k):
     assert lhs2 == rhs2
 
 
+def _tensor(a, b):
+    return Elem2(a.dim, a.map.tensor(b.map))
+
+
 def test_comul_apply_trivial_left():
     comul = catalog.entry("trivial-left").as_coalgebra().comul
     x = Vec.basis(2, 1)
-    assert comul_apply(comul, x) == tensor_vv(x, Vec.basis(2, 0)).scale(-1)
-    assert comul_apply(comul, Vec.zero(2)) == Elem2.zero(2)
+    assert Elem2(2, comul.map @ x.map) == _tensor(x, Vec.basis(2, 0)).scale(-1)
+    assert Elem2(2, comul.map @ Vec.zero(2).map) == Elem2.zero(2)
 
 
 def test_comul_apply_divided_powers():
     comul = catalog.entry("trunc-poly-2").as_coalgebra().comul
     x2 = Vec.basis(3, 2)
-    expected = (tensor_vv(Vec.basis(3, 0), x2)
-                + tensor_vv(Vec.basis(3, 1), Vec.basis(3, 1))
-                + tensor_vv(x2, Vec.basis(3, 0)))
-    assert comul_apply(comul, x2) == expected
+    expected = (_tensor(Vec.basis(3, 0), x2)
+                + _tensor(Vec.basis(3, 1), Vec.basis(3, 1))
+                + _tensor(x2, Vec.basis(3, 0)))
+    assert Elem2(3, comul.map @ x2.map) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +538,7 @@ def test_records_on_dim_zero(record):
 
 def test_render_canonical():
     v = Vec(2, (Q(1), Q(-2)))
-    assert render_vec(v) == "e0 - 2*e1"
-    assert render_elem2(Elem2.zero(2)) == "0"
+    assert render_flat(v.map.column(0), (2,), ("e",)) == "e0 - 2*e1"
+    assert render_flat(Elem2.zero(2).map.column(0), (2, 2), ("e", "e")) == "0"
     r = Elem2(2, ((Q(0), Q(1, 2)), (Q(-1), Q(0))))
-    assert render_elem2(r) == "1/2*e0(x)e1 - e1(x)e0"
+    assert render_flat(r.map.column(0), (2, 2), ("e", "e")) == "1/2*e0(x)e1 - e1(x)e0"

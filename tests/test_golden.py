@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from bihom import catalog, models
 from bihom.cli import run
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -37,6 +38,13 @@ def test_golden_search_pooled(doc, tmp_path, capsys, monkeypatch):
     bytes under BIHOM_THREADS=2 too."""
     monkeypatch.setenv("BIHOM_THREADS", "2")
     _replay(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_catalog_entry_matches_its_golden_input(name):
+    """The bytes `bihom catalog NAME` prints, as the fixtures were recorded."""
+    with open(os.path.join(INPUTS, f"{name}.json"), encoding="utf-8") as fh:
+        assert models.dumps(catalog.entry(name), name=name) == fh.read()
 
 
 def _replay(doc, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grid_reference import grid_candidates
 from bihom import axioms, catalog, constructions as C, ybe
 from bihom.errors import MissingUnit, SearchSpaceTooLarge
 from bihom.exactcore import (
@@ -59,7 +60,7 @@ def test_characterizations_match_solution_verdict(dual_numbers, kz2_yau):
     """On every invariant grid candidate, each characterization pair is
     equivalent to solving the residual of the matching weight sign."""
     for alg, psi, omega in _host_pairs(dual_numbers, kz2_yau):
-        candidates = ybe.grid_candidates(alg, psi, omega, GRID)
+        candidates = grid_candidates(alg, psi, omega, GRID)
         for w in WEIGHTS:
             for r in candidates:
                 plain = ybe.abhybe_residual(alg, psi, omega, r, w, anti=False)
@@ -72,7 +73,7 @@ def test_characterizations_match_solution_verdict(dual_numbers, kz2_yau):
 
 def test_weight_zero_characterizations_coincide(dual_numbers, kz2_yau):
     for alg, psi, omega in _host_pairs(dual_numbers, kz2_yau):
-        for r in ybe.grid_candidates(alg, psi, omega, GRID):
+        for r in grid_candidates(alg, psi, omega, GRID):
             rep = ybe.abhybe_residual(alg, psi, omega, r, 0)
             assert rep.characterization["(14.8)"] == rep.characterization["(14.28)"]
             assert rep.characterization["(14.9)"] == rep.characterization["(14.29)"]
@@ -82,7 +83,7 @@ def test_coboundary_equals_coassociativity(dual_numbers, kz2_yau):
     """The invariance condition holds exactly when the induced coproduct is
     coassociative, for every invariant grid candidate, both variants."""
     for alg, psi, omega in _host_pairs(dual_numbers, kz2_yau):
-        for r in ybe.grid_candidates(alg, psi, omega, GRID):
+        for r in grid_candidates(alg, psi, omega, GRID):
             for w in WEIGHTS:
                 for anti in (False, True):
                     cob = ybe.coboundary_check(alg, psi, omega, r, w, anti=anti)
@@ -100,7 +101,7 @@ def test_coboundary_violation_names_basis_index(kz2_yau):
     alg = kz2_yau.algebra
     psi, omega = kz2_yau.coalgebra.psi, kz2_yau.coalgebra.omega
     bad = None
-    for r in ybe.grid_candidates(alg, psi, omega, GRID):
+    for r in grid_candidates(alg, psi, omega, GRID):
         rep = ybe.abhybe_residual(alg, psi, omega, r, Q(1))
         cob = ybe.coboundary_check(alg, psi, omega, r, Q(1))
         if not rep.is_solution and not cob.passed:
@@ -126,7 +127,7 @@ def test_transport_preserves_residual_tensor(dual_numbers):
     """The co-residual of the transported form equals the residual of r
     coordinatewise, candidate by candidate."""
     cdual = C.dual_coalgebra(dual_numbers)
-    for r in ybe.grid_candidates(dual_numbers, ID2, ID2, GRID):
+    for r in grid_candidates(dual_numbers, ID2, ID2, GRID):
         sig = BiForm(2, r.m)
         for w in WEIGHTS:
             for anti in (False, True):
@@ -157,8 +158,6 @@ def test_counit_square_form_oracle(trunc_poly_2):
     w = Q(-1)
     report = ybe.coabhybe_residual(coalg, id3, id3, sig, w)
 
-    from bihom.exactcore import comul_apply
-
     def s(x, y):
         return sig(x, y)
 
@@ -167,9 +166,9 @@ def test_counit_square_form_oracle(trunc_poly_2):
         for j in range(n):
             for k in range(n):
                 ci, cj, ck = Vec.basis(n, i), Vec.basis(n, j), Vec.basis(n, k)
-                di = comul_apply(coalg.comul, ci)
-                dj = comul_apply(coalg.comul, cj)
-                dk = comul_apply(coalg.comul, ck)
+                di = Elem2(n, coalg.comul.map @ ci.map)
+                dj = Elem2(n, coalg.comul.map @ cj.map)
+                dk = Elem2(n, coalg.comul.map @ ck.map)
                 t1 = sum(di.m[u][v] * s(Vec.basis(n, u), ck) * s(Vec.basis(n, v), cj)
                          for u in range(n) for v in range(n))
                 t2 = sum(dj.m[u][v] * s(ci, Vec.basis(n, u)) * s(Vec.basis(n, v), ck)
@@ -221,7 +220,7 @@ def test_grid_candidates_deeper_than_the_recursion_limit():
     n = 33
     one = Endo.identity(n)
     alg = Algebra(n, Mul.zero(n), one, one, Vec(n, [Q(int(i == 0)) for i in range(n)]))
-    assert ybe.grid_candidates(alg, one, one, [Q(0)]) == [Elem2.zero(n)]
+    assert grid_candidates(alg, one, one, [Q(0)]) == [Elem2.zero(n)]
 
 
 def test_induced_structures_from_all_solutions(dual_numbers, kz2_yau):
@@ -331,6 +330,6 @@ def test_tree_search_matches_brute_force(data):
         assert ybe.grid_search_r(a, psi, omega, weight, values, require_invariant) == \
             _brute_force(a, psi, omega, weight, values, require_invariant)
     squares = ybe._squares(a, psi, omega)
-    assert ybe.grid_candidates(a, psi, omega, grid) == [
+    assert grid_candidates(a, psi, omega, grid) == [
         ybe._as_elem2(flat, a.dim) for flat in itertools.product(sorted(set(grid)), repeat=a.dim ** 2)
         if ybe._invariant(squares, flat)]
