@@ -48,7 +48,7 @@ def _definitions():
             with open(path, encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
             for node in tree.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                     yield path, node
 
 
