@@ -6,7 +6,8 @@ Run this only at a commit whose outputs are the reference: it rewrites
 `inputs/` and `cases/` from what the current code prints. The inputs are
 the catalog hosts, hand-written r / sigma / twist-map files, and hosts
 derived from them by the CLI itself (induced bialgebras, duals,
-Rota-Baxter operators, augmented copies). `cases/<verb>.json` maps
+Rota-Baxter operators, augmented copies), and copies of inputs and
+outputs with one cell or twist changed. `cases/<verb>.json` maps
 each case id to its argv, exit code, stdout, stderr and, for `-o` runs,
 the written file.
 """
@@ -220,6 +221,81 @@ def make_derived() -> dict:
             "large": large}
 
 
+def _edited(name: str, source: str, path: tuple, value: str) -> str:
+    """Write a copy of the input source under name with one cell set: a
+    path ending in an index tuple sets that sparse entry, any other path one
+    cell of a map, a vector or a block."""
+    with open(os.path.join(INPUTS, source), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    *outer, last = path
+    at = doc
+    for key in outer:
+        at = at[key]
+    if isinstance(last, tuple):
+        at[:] = sorted([e for e in at if tuple(e[:-1]) != last] + [[*last, value]])
+    else:
+        at[last] = value
+    return _write(name, dict(doc, name=name.removesuffix(".json")))
+
+
+def _hopf_bimodule(name: str, source: str) -> str:
+    """The bialgebra in source acting and coacting on itself from both sides
+    by its own product, coproduct and twists."""
+    with open(os.path.join(INPUTS, source), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    n = doc["dim"]
+    doc["module"] = {"dim": n, "alpha": doc["alpha"], "beta": doc["beta"],
+                     "action": doc["mul"], "raction": doc["mul"]}
+    doc["comodule"] = {"dim": n, "psi": doc["psi"], "omega": doc["omega"],
+                       "coaction": doc["comul"], "rcoaction": doc["comul"]}
+    return _write(name, dict(doc, name=name.removesuffix(".json")))
+
+
+def make_perturbed() -> dict:
+    """Failing inputs, each one changed cell or twist away from an input or
+    a recorded output, so that together with the other inputs every label a
+    `verify` kind emits occurs in some failing report. The comment after a
+    file names the labels it is there for."""
+    prelie = _derive("kz2-yau-prelie.json", ["prelie", "@in/kz2-yau.json"])
+    prelie_co = _derive("kz2-dr-prelie-co.json", ["prelie-coalgebra", "@in/kz2-dr.json"])
+    dend = _derive("kz2-yau-rb-plus-dend.json", ["dendriform", "@in/kz2-yau-rb-plus.json"])
+    module = _derive("kz2-yau-hm.json", ["hopf-module", "@in/kz2-yau.json", "--from", "plain",
+                                         "--vdim", "2"])
+    bimodule = _hopf_bimodule("kz2-yau-hbm.json", "kz2-yau.json")     # (20.02)
+    for name, source, path, value in (
+            ("kz2-yau-x-mul", "kz2-yau.json", ("mul", (1, 1, 1)), "1"),    # (1.2) (1.3) (12.3)
+            ("kz2-yau-x-unit", "kz2-yau.json", ("unit", 1), "1"),          # (1.5) (12.30) (L2.11a)
+            ("kz2-yau-x-comul", "kz2-yau.json", ("comul", (1, 1, 1)), "1"),  # (1.7) (1.9) (12.2)
+            ("kz2-yau-x-alpha", "kz2-yau.json", ("alpha", 0, 1), "1"),     # (12.1)
+            ("kz2-yau-x-psi", "kz2-yau.json", ("psi", 1, 0), "1"),         # (12.30) by a twist
+            ("kz2-dual-ms-x-counit", "kz2-dual-ms.json", ("counit", 1), "1"),  # (1.11) (L2.11b)
+            ("kz2-dual-ms-x-alpha", "kz2-dual-ms.json", ("alpha", 0, 1), "1"),  # (12.31)
+            ("kz2-yau-aug-x-chi", "kz2-yau-aug.json", ("chi", 1), "1"),    # (12.5m)
+            ("kz2-rb-plus-x-R", "kz2-rb-plus.json", ("R", 0, 1), "1"),     # (RB)
+            ("kz2-yau-rb-plus-x-R", "kz2-yau-rb-plus.json", ("R", 0, 1), "1"),  # (RB.alpha) (RB.beta)
+            ("kz2-yau-prelie-x-star", prelie, ("star", (0, 0, 0)), "1"),  # (13.1)
+            ("kz2-yau-prelie-x-alpha", prelie, ("alpha", 1, 1), "2"),  # (13.1m)
+            ("kz2-dr-prelie-co-x-comul", prelie_co, ("comul", (0, 0, 1)), "1"),  # (co13.1)
+            ("kz2-dr-prelie-co-x-psi", prelie_co, ("psi", 1, 0), "1"),  # (co13.1m)
+            ("kz2-yau-rb-plus-dend-x-prec", dend, ("prec", (0, 0, 0)), "1"),  # (D.1)-(D.3)
+            ("kz2-yau-rb-plus-dend-x-alpha", dend, ("alpha", 1, 1), "2"),  # (D.maps)
+            ("kz2-yau-hm-x-action", module, ("module", "action", (0, 0, 0)), "2"),  # (1.15) (12.13)
+            ("kz2-yau-hm-x-coaction", module, ("comodule", "coaction", (0, 0, 0)), "1"),  # (1.15C)
+            ("kz2-yau-hm-x-alpha", module, ("module", "alpha", 0, 2), "1"),  # (1.13) (HM.comm)
+            ("kz2-yau-hm-x-psi", module, ("comodule", "psi", 1, 0), "1"),  # (1.13C)
+            # (1.15R) (1.16) (12.13R)
+            ("kz2-yau-hbm-x-raction", bimodule, ("module", "raction", (1, 1, 1)), "1"),
+            # (1.15CR) (1.16C) (20.01)
+            ("kz2-yau-hbm-x-rcoaction", bimodule, ("comodule", "rcoaction", (1, 1, 1)), "1"),
+            ("kz2-yau-hbm-x-alpha", bimodule, ("module", "alpha", 0, 1), "1"),  # (1.13R)
+            ("kz2-yau-hbm-x-psi", bimodule, ("comodule", "psi", 1, 0), "1")):  # (1.13CR)
+        _edited(f"{name}.json", source, path, value)
+    return {"prelie_co": [prelie_co, "kz2-dr-prelie-co-x-comul.json",
+                          "kz2-dr-prelie-co-x-psi.json"],
+            "dendriform": [dend, "kz2-yau-rb-plus-dend-x-prec.json",
+                           "kz2-yau-rb-plus-dend-x-alpha.json"]}
+
+
 def _dim_of(name: str) -> int:
     with open(os.path.join(INPUTS, name), encoding="utf-8") as fh:
         return json.load(fh)["dim"]
@@ -317,6 +393,14 @@ def make_cases(files: dict, derived: dict) -> list[tuple[str, list[str]]]:
             add(["search-r", "@in/trunc-poly-2.json", "--coeffs=-1,0,1", *any_r, *fmt])
     # 3^16 candidates: refused by the guard before any work
     add(["search-r", "@in/trunc-poly-3.json", "--coeffs=-1,0,1"])
+    # the perturbed pre-Lie coalgebras and dendriform products under the
+    # laws their inferred kind (coalgebra, dendriform totals) leaves out
+    for name in derived["perturbed"]["prelie_co"]:
+        for fmt in ([], ["--json"]):
+            add(["verify", f"@in/{name}", "--kind", "prelie-coalgebra", *fmt])
+    for name in derived["perturbed"]["dendriform"]:
+        for fmt in ([], ["--json"]):
+            add(["verify", f"@in/{name}", "--full-axioms", *fmt])
     # every input as its inferred kind: passing, failing and unreadable
     # structures pin the reports' labels, index tuples and renderings
     for name in sorted(os.listdir(INPUTS)):
@@ -345,7 +429,7 @@ def main():
         shutil.rmtree(d, ignore_errors=True)
         os.makedirs(d)
     files = make_inputs()
-    derived = make_derived()
+    derived = dict(make_derived(), perturbed=make_perturbed())
     by_verb: dict[str, dict] = {}
     for case_id, argv in make_cases(files, derived):
         by_verb.setdefault(argv[0], {})[case_id] = record(case_id, argv)
