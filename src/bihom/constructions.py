@@ -209,7 +209,8 @@ def coaug_tensor_product(x: Coaugmented, y: Coaugmented) -> tuple[Coalgebra, Coa
                                   product.weight)
 
 
-def check_delta_morphism(b: Bialgebra) -> axioms.Report:
+@axioms.checker
+def check_delta_morphism(b: Bialgebra) -> axioms.Laws:
     """Is the coproduct multiplicative into the weighted tensor square?
 
     Needs a counit; the target algebra is the augmented tensor product of
@@ -221,13 +222,12 @@ def check_delta_morphism(b: Bialgebra) -> axioms.Report:
     aug = Augmented(b.algebra, b.coalgebra.counit, b.weight)
     square, _ = aug_tensor_product(aug, aug)
     de = b.coalgebra.comul.map
-    lhs = de @ b.algebra.mul.map
-    rhs = square.mul.map @ de.tensor(de)
-    return axioms._report(axioms.compare_maps(
-        "(T2.21a)", lhs, rhs, (n, n), (n, n), ("e", "e")))
+    yield ("(T2.21a)", de @ b.algebra.mul.map, square.mul.map @ de.tensor(de),
+           (n, n), (n, n), ("e", "e"))
 
 
-def check_mu_comorphism(b: Bialgebra) -> axioms.Report:
+@axioms.checker
+def check_mu_comorphism(b: Bialgebra) -> axioms.Laws:
     """Is the product comultiplicative from the weighted tensor square?"""
     if b.algebra.unit is None:
         raise MissingUnit("the comorphism source needs the unit as coaugmentation")
@@ -235,10 +235,8 @@ def check_mu_comorphism(b: Bialgebra) -> axioms.Report:
     coaug = Coaugmented(b.coalgebra, b.algebra.unit, b.weight)
     square, _ = coaug_tensor_product(coaug, coaug)
     mu = b.algebra.mul.map
-    lhs = b.coalgebra.comul.map @ mu
-    rhs = mu.tensor(mu) @ square.comul.map
-    return axioms._report(axioms.compare_maps(
-        "(T2.21b)", lhs, rhs, (n, n), (n, n), ("e", "e")))
+    yield ("(T2.21b)", b.coalgebra.comul.map @ mu, mu.tensor(mu) @ square.comul.map,
+           (n, n), (n, n), ("e", "e"))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ Everything is immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -601,13 +600,6 @@ class LinMap:
         return LinMap._from_nonzeros(self.rows, self.cols, [
             (cs, tuple(s * v for v in vs)) for cs, vs in self.nonzeros])
 
-    def column(self, c: int) -> tuple[Q, ...]:
-        out = []
-        for cs, vs in self.nonzeros:
-            i = bisect.bisect_left(cs, c)
-            out.append(vs[i] if i < len(cs) and cs[i] == c else ZERO)
-        return tuple(out)
-
     def differing_columns(self, other: "LinMap") -> list[int]:
         """The columns, ascending, in which self and other differ, found row
         by row: views are canonical, so equal rows are skipped whole."""
@@ -690,35 +682,28 @@ def first_noncommuting(maps: dict[str, Endo]) -> tuple[str, str] | None:
 # canonical rendering of exact values (used by reports)
 
 
-def render_flat(coeffs: Sequence[Q], dims: Sequence[int], legs: Sequence[str]) -> str:
-    """Render a tensor by its nonzero coordinates, e.g. 'e0(x)e1 - 2*e1(x)e0'."""
+def unflatten(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
+    """The index tuple of a flat row-major index over legs dims."""
+    idx = []
+    for d in reversed(dims):
+        flat, part = divmod(flat, d)
+        idx.append(part)
+    return tuple(reversed(idx))
+
+
+def render_flat(cells: Sequence[tuple[int, Q]], dims: Sequence[int], legs: Sequence[str]) -> str:
+    """Render a tensor from its nonzero coordinates, (flat index, value) pairs
+    in index order, e.g. 'e0(x)e1 - 2*e1(x)e0'; a scalar when dims is ()."""
     if not dims:
-        return scalar_render(coeffs[0])
-    terms = []
-    for flat, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        idx = []
-        rem = flat
-        for d in reversed(dims):
-            rem, part = divmod(rem, d)
-            idx.append(part)
-        idx.reverse()
-        basis = "(x)".join(f"{leg}{i}" for leg, i in zip(legs, idx))
-        if c == 1:
-            term = basis
-        elif c == -1:
-            term = "-" + basis
-        else:
-            term = f"{scalar_render(c)}*{basis}"
-        terms.append(term)
-    if not terms:
-        return "0"
-    text = terms[0]
-    for term in terms[1:]:
-        text += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
-    return text
+        return scalar_render(cells[0][1]) if cells else "0"
+    text = ""
+    for flat, c in cells:
+        basis = "(x)".join(f"{leg}{i}" for leg, i in zip(legs, unflatten(flat, dims)))
+        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += sign + ("" if abs(c) == 1 else f"{scalar_render(abs(c))}*") + basis
+    return text or "0"
 
 
-def render_elem3(t: Elem3, legs: Sequence[str] = ("e", "e", "e")) -> str:
-    return render_flat(t.map.column(0), (t.dim, t.dim, t.dim), legs)
+def render_elem3(t: Elem3) -> str:
+    return render_flat([(row, vs[0]) for row, (cs, vs) in enumerate(t.map.nonzeros) if cs],
+                       (t.dim,) * 3, ("e", "e", "e"))

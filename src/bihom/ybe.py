@@ -94,7 +94,7 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     omitted when those hypotheses fail.
     """
     weight = Q(weight)
-    characterize = (r.dim == a.dim and _invariant(_squares(a, psi, omega), r.map.column(0))
+    characterize = (r.dim == a.dim and all(ff @ r.map == r.map for ff in _squares(a, psi, omega))
                     and endo_is_invertible(a.alpha) and endo_is_invertible(a.beta))
     # every element both sides need, as K -> A (x) A (x) A
     part = _residual_parts(a, psi, omega, r, ELEM3_KINDS if characterize else ELEM3_KINDS[:4])
@@ -120,8 +120,9 @@ def abhybe_residual(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     return YbeReport(residual, residual.is_zero(), characterization)
 
 
+@axioms.checker
 def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
-                     anti: bool = False) -> axioms.Report:
+                     anti: bool = False) -> axioms.Laws:
     """The invariance condition equivalent to coassociativity of the
     r-induced coproduct: for every basis x,
 
@@ -134,8 +135,8 @@ def coboundary_check(a: Algebra, psi: Endo, omega: Endo, r: Elem2, weight,
     n = a.dim
     lhs = twisted_left_action(a, omega, residual, 3) @ (omega @ alpha_inv).map
     rhs = twisted_right_action(a, psi, residual, 3) @ (psi @ beta_inv).map
-    eq_id = "(coboundary1)" if anti else "(coboundary)"
-    return axioms._report(axioms.compare_maps(eq_id, lhs, rhs, (n,), (n, n, n), ("e", "e", "e")))
+    yield ("(coboundary1)" if anti else "(coboundary)", lhs, rhs,
+           (n,), (n, n, n), ("e", "e", "e"))
 
 
 def coabhybe_residual(c: Coalgebra, alpha: Endo, beta: Endo, sigma: BiForm, weight,

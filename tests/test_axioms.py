@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 import pytest
 
 from bihom import axioms, catalog, constructions
-from bihom.exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
+from bihom.exactcore import Comul, Covec, Elem2, Endo, LinMap, Mul, Vec
 from bihom.structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, HopfBimodule,
     HopfModule, LeftModule, PreLie, RotaBaxter, regular_left_comodule,
@@ -308,3 +308,19 @@ def test_reports_sorted_and_deterministic(trunc_poly_2):
     assert r1 == r2
     keys = [(v.equation_id, v.indices) for v in r1.violations]
     assert keys == sorted(keys)
+
+
+def test_misdeclared_row_is_refused():
+    """A row whose declared legs do not fit its maps raises instead of
+    rendering wrong indices, whether or not the two sides agree."""
+    f = LinMap.identity(2)
+    for in_dims, out_dims, legs in (((3,), (2,), ("e",)), ((2,), (4,), ("e",)),
+                                    ((2,), (2,), ("e", "e")), ((2,), (2,), ())):
+        with pytest.raises(ValueError, match="do not fit"):
+            axioms.compare_maps("(x)", f, f, in_dims, out_dims, legs)
+
+    @axioms.checker
+    def misdeclared(n):
+        yield ("(x)", LinMap.identity(n * n), LinMap.zero(n * n, n * n), (n,), (n, n), ("e", "e"))
+    with pytest.raises(ValueError, match="do not fit"):
+        misdeclared(2)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from render_reference import render_flat_dense
 from bihom.errors import BadScalar, DimensionMismatch, MissingUnit, SingularMap
 from bihom.exactcore import (
     BiForm, Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
-    mul_apply, render_flat, scalar_parse, scalar_render,
+    mul_apply, render_elem3, render_flat, scalar_parse, scalar_render,
 )
 from bihom import axioms, catalog, cli, exactcore, models
 
@@ -331,7 +332,7 @@ def test_permute_rows_moves_basis_legs():
         flat = [0] * n ** 3
         flat[(a * n + b) * n + c] = 1
         moved = LinMap(n ** 3, 1, tuple((x,) for x in flat)).permute_rows((n, n, n), (1, 0, 2))
-        assert moved.column(0).index(1) == (b * n + a) * n + c
+        assert [row[0] for row in moved.a].index(1) == (b * n + a) * n + c
 
 
 def test_permute_and_reshape_check_shapes():
@@ -458,8 +459,7 @@ def test_comparison_and_readers_match_dense_reference(data):
     g = LinMap(r, cols, y) + LinMap(r, cols, w)         # cancels exactly on some cells
     z = [[y[i][j] + w[i][j] for j in range(cols)] for i in range(r)]
     for m, ref in ((f, x), (g, z)):
-        for j in range(cols):
-            assert m.column(j) == tuple(ref[i][j] for i in range(r))
+        assert m.a == tuple(tuple(row) for row in ref)
     differ = [j for j in range(cols) if any(x[i][j] != z[i][j] for i in range(r))]
     assert f.differing_columns(g) == g.differing_columns(f) == differ
     assert g.differing_columns(LinMap(r, cols, z)) == []
@@ -537,8 +537,29 @@ def test_records_on_dim_zero(record):
 
 
 def test_render_canonical():
-    v = Vec(2, (Q(1), Q(-2)))
-    assert render_flat(v.map.column(0), (2,), ("e",)) == "e0 - 2*e1"
-    assert render_flat(Elem2.zero(2).map.column(0), (2, 2), ("e", "e")) == "0"
-    r = Elem2(2, ((Q(0), Q(1, 2)), (Q(-1), Q(0))))
-    assert render_flat(r.map.column(0), (2, 2), ("e", "e")) == "1/2*e0(x)e1 - e1(x)e0"
+    assert render_flat([(0, Q(1)), (1, Q(-2))], (2,), ("e",)) == "e0 - 2*e1"
+    assert render_flat([], (2, 2), ("e", "e")) == "0"
+    assert render_flat([(1, Q(1, 2)), (2, Q(-1))], (2, 2), ("e", "e")) == "1/2*e0(x)e1 - e1(x)e0"
+    assert render_flat([(0, Q(-3, 2))], (), ()) == "-3/2"
+    assert render_flat([], (), ()) == "0"
+    t = Elem3(2, {(0, 1, 1): Q(2), (1, 0, 0): Q(-1)})
+    assert render_elem3(t) == "2*e0(x)e1(x)e1 - e1(x)e0(x)e0"
+
+
+_coefficients = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(1)), st.just(Q(-1)),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_render_flat_matches_dense_reference(data):
+    """The renderer over nonzero cells prints what the dense walk printed,
+    on 0 to 3 legs (the scalar case too), zero vectors, +-1, fractions and
+    negative leading terms, with e and m legs."""
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), max_size=3)))
+    legs = tuple(data.draw(st.sampled_from("em")) for _ in dims)
+    coeffs = data.draw(st.one_of(st.lists(_coefficients, min_size=math.prod(dims),
+                                          max_size=math.prod(dims)),
+                                 st.just([Q(0)] * math.prod(dims))))
+    cells = [(flat, c) for flat, c in enumerate(coeffs) if c]
+    assert render_flat(cells, dims, legs) == render_flat_dense(coeffs, dims, legs)

@@ -308,7 +308,7 @@ def _unital_hosts(draw, graded=False):
               for j, row in enumerate(plane)] for i, plane in enumerate(c)]
     alpha, beta, psi, omega = (Endo(n, p_inv @ Endo.diagonal(d).map @ p) for d in diags)
     mul = Mul(n, p_inv @ Mul(n, c).map @ p.tensor(p))
-    unit = p_inv.column(0)
+    unit = tuple(row[0] for row in p_inv.a)
     return Algebra(n, mul, alpha, beta, Vec(n, unit)), psi, omega, unit
 
 
