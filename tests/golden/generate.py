@@ -251,6 +251,14 @@ def _hopf_bimodule(name: str, source: str) -> str:
     return _write(name, dict(doc, name=name.removesuffix(".json")))
 
 
+def _coalgebra_half(name: str, source: str) -> str:
+    """The coalgebra blocks of the bialgebra in source, on their own."""
+    with open(os.path.join(INPUTS, source), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return _write(name, {"name": name.removesuffix(".json"), "dim": doc["dim"],
+                         **{k: doc[k] for k in ("psi", "omega", "counit", "comul") if k in doc}})
+
+
 def make_perturbed() -> dict:
     """Failing inputs, each one changed cell or twist away from an input or
     a recorded output, so that together with the other inputs every label a
@@ -262,12 +270,14 @@ def make_perturbed() -> dict:
     module = _derive("kz2-yau-hm.json", ["hopf-module", "@in/kz2-yau.json", "--from", "plain",
                                          "--vdim", "2"])
     bimodule = _hopf_bimodule("kz2-yau-hbm.json", "kz2-yau.json")     # (20.02)
+    coalgebra = _coalgebra_half("kz2-yau-co.json", "kz2-yau.json")
     for name, source, path, value in (
             ("kz2-yau-x-mul", "kz2-yau.json", ("mul", (1, 1, 1)), "1"),    # (1.2) (1.3) (12.3)
             ("kz2-yau-x-unit", "kz2-yau.json", ("unit", 1), "1"),          # (1.5) (12.30) (L2.11a)
             ("kz2-yau-x-comul", "kz2-yau.json", ("comul", (1, 1, 1)), "1"),  # (1.7) (1.9) (12.2)
             ("kz2-yau-x-alpha", "kz2-yau.json", ("alpha", 0, 1), "1"),     # (12.1)
             ("kz2-yau-x-psi", "kz2-yau.json", ("psi", 1, 0), "1"),         # (12.30) by a twist
+            ("kz2-yau-co-x-comul", coalgebra, ("comul", (1, 1, 1)), "1"),  # (1.7) (1.9) alone
             ("kz2-dual-ms-x-counit", "kz2-dual-ms.json", ("counit", 1), "1"),  # (1.11) (L2.11b)
             ("kz2-dual-ms-x-alpha", "kz2-dual-ms.json", ("alpha", 0, 1), "1"),  # (12.31)
             ("kz2-yau-aug-x-chi", "kz2-yau-aug.json", ("chi", 1), "1"),    # (12.5m)
