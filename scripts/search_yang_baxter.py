@@ -16,9 +16,9 @@ from bihom.models import entries_out
 
 
 def hosts():
-    dn = catalog.entry("dual-numbers").as_algebra()
-    yau = catalog.entry("kz2-yau").as_bialgebra()
-    kz2 = catalog.entry("kz2").as_bialgebra()
+    dn = catalog.entry("dual-numbers").to_structure("algebra")
+    yau = catalog.entry("kz2-yau").to_structure("bialgebra")
+    kz2 = catalog.entry("kz2").to_structure("bialgebra")
     ident = Endo.identity(2)
     return [
         ("dual-numbers", dn, ident, ident),

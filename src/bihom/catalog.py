@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from . import axioms, ybe
+from . import ybe
 from .constructions import trivial_coproduct, yau_twist
 from .errors import ParseError
 from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
-from .models import ModelFile, structure_to_model
+from .models import KINDS, ModelFile, structure_to_model
 
 _ID2 = Endo.identity(2)
 
@@ -23,8 +23,7 @@ _ID2 = Endo.identity(2)
 def _dual_numbers() -> ModelFile:
     # basis 1, x with x^2 = 0
     mul = Mul(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
-    return ModelFile("dual-numbers", 2, mul=mul, unit=Vec(2, (1, 0)),
-                     maps={"alpha": _ID2, "beta": _ID2})
+    return ModelFile("dual-numbers", 2, mul=mul, unit=Vec(2, (1, 0)), alpha=_ID2, beta=_ID2)
 
 
 def _kz2() -> ModelFile:
@@ -32,14 +31,14 @@ def _kz2() -> ModelFile:
     mul = Mul(2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1})
     comul = Comul(2, {(0, 0, 0): -1, (1, 1, 0): -1})
     return ModelFile("kz2", 2, weight=Q(1), mul=mul, comul=comul, unit=Vec(2, (1, 0)),
-                     maps={"alpha": _ID2, "beta": _ID2, "psi": _ID2, "omega": _ID2})
+                     alpha=_ID2, beta=_ID2, psi=_ID2, omega=_ID2)
 
 
 def _kz2_yau() -> ModelFile:
     # the kz2 structure twisted by g -> -g in all four slots
     theta = Endo(2, ((1, 0), (0, -1)))
-    return structure_to_model(yau_twist(_kz2().as_bialgebra(), theta, theta, theta, theta),
-                              "kz2-yau")
+    kz2 = _kz2().to_structure("bialgebra")
+    return structure_to_model(yau_twist(kz2, theta, theta, theta, theta), "kz2-yau")
 
 
 def _trunc_poly(order: int) -> ModelFile:
@@ -52,12 +51,12 @@ def _trunc_poly(order: int) -> ModelFile:
         mul=Mul(dim, {(i, j, i + j): 1 for i in range(dim) for j in range(dim) if i + j <= order}),
         comul=Comul(dim, {(n, p, n - p): 1 for n in range(dim) for p in range(n + 1)}),
         unit=Vec(dim, tuple(basis0)), counit=Covec(dim, tuple(basis0)),
-        maps={"alpha": ident, "beta": ident, "psi": ident, "omega": ident})
+        alpha=ident, beta=ident, psi=ident, omega=ident)
 
 
 def _trivial(side: str) -> ModelFile:
     # the weight-1 coproduct a -> -(a (x) 1) resp. -(1 (x) a) on the dual numbers
-    algebra = _dual_numbers().as_algebra()
+    algebra = _dual_numbers().to_structure("algebra")
     return structure_to_model(trivial_coproduct(algebra, _ID2, _ID2, 1, side), f"trivial-{side}")
 
 
@@ -108,7 +107,7 @@ def selftest() -> list[str]:
     for name, (kind, expect) in EXPECTATIONS.items():
         model = entry(name)
         if kind == "r-element":
-            host = entry("dual-numbers").as_algebra()
+            host = entry("dual-numbers").to_structure("algebra")
             report = ybe.abhybe_residual(host, Endo.identity(2), Endo.identity(2),
                                          model.r, model.weight)
             if expect == "ybe-solution" and not report.is_solution:
@@ -116,8 +115,7 @@ def selftest() -> list[str]:
             if not (report.characterization.get("(14.8)") and report.characterization.get("(14.9)")):
                 failures.append(f"{name}: induced-coproduct characterizations do not hold")
             continue
-        report = axioms.check_infbh_bialgebra(model.as_bialgebra()) \
-            if kind == "bialgebra" else axioms.check_bihom_algebra(model.as_algebra())
+        report = KINDS[kind].check(model.to_structure(kind))
         if expect == "pass":
             if not report.passed:
                 failures.append(f"{name}: declared passing but has violations "

@@ -16,21 +16,11 @@ from . import axioms, catalog, constructions, models, ybe
 from .errors import BihomError
 from .exactcore import Endo, Q, scalar_parse
 from .models import ModelFile
-from .structures import regular_left_comodule, regular_left_module
+from .structures import (
+    LeftComodule, LeftModule, regular_left_comodule, regular_left_module,
+)
 
-CHECKERS = {
-    "algebra": axioms.check_bihom_algebra,
-    "coalgebra": axioms.check_bihom_coalgebra,
-    "bialgebra": axioms.check_infbh_bialgebra,
-    "hopf-module": axioms.check_hopf_module,
-    "hopf-bimodule": axioms.check_hopf_bimodule,
-    "rota-baxter": axioms.check_rota_baxter,
-    "dendriform": axioms.check_dendriform,
-    "prelie": axioms.check_prelie,
-    "prelie-coalgebra": axioms.check_prelie_coalgebra,
-    "augmented": axioms.check_augmented,
-    "coaugmented": axioms.check_coaugmented,
-}
+CHECKERS = {kind: spec.check for kind, spec in models.KINDS.items()}
 
 
 def _print_report(report: axioms.Report, as_json: bool, label: str = ""):
@@ -69,18 +59,15 @@ def _weight_of(model: ModelFile, override: str | None, fallback: ModelFile | Non
 def _cmd_verify(args) -> int:
     model = models.load(args.file)
     kind = args.kind if args.kind != "auto" else model.kind_auto()
-    structure = model.to_structure(kind)
-    if kind == "dendriform":
-        report = axioms.check_dendriform(structure, full_axioms=args.full_axioms)
-    else:
-        report = CHECKERS[kind](structure)
+    options = {"full_axioms": args.full_axioms} if kind == "dendriform" else {}
+    report = CHECKERS[kind](model.to_structure(kind), **options)
     _print_report(report, args.json, f"{model.name} as {kind}")
     return 0 if report.passed else 1
 
 
 def _cmd_twist(args) -> int:
     model = models.load(args.file)
-    b = model.as_bialgebra()
+    b = model.to_structure("bialgebra")
     maps = models.load(args.maps)
     twisted = constructions.yau_twist(b, maps.map("alpha"), maps.map("beta"),
                                       maps.map("psi"), maps.map("omega"))
@@ -90,7 +77,7 @@ def _cmd_twist(args) -> int:
 
 def _cmd_delta_r(args) -> int:
     model = models.load(args.file)
-    a = model.as_algebra()
+    a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     b = constructions.delta_r(a, model.map("psi"), model.map("omega"),
@@ -101,7 +88,7 @@ def _cmd_delta_r(args) -> int:
 
 def _cmd_mu_sigma(args) -> int:
     model = models.load(args.file)
-    c = model.as_coalgebra()
+    c = model.to_structure("coalgebra")
     sfile = models.load(args.sigma, "sigma")
     weight = _weight_of(sfile, args.weight, model)
     b = constructions.mu_sigma(c, model.map("alpha"), model.map("beta"),
@@ -112,7 +99,7 @@ def _cmd_mu_sigma(args) -> int:
 
 def _cmd_ybe(args) -> int:
     model = models.load(args.file)
-    a = model.as_algebra()
+    a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     report = ybe.abhybe_residual(a, model.map("psi"), model.map("omega"),
@@ -130,7 +117,7 @@ def _cmd_ybe(args) -> int:
 
 def _cmd_co_ybe(args) -> int:
     model = models.load(args.file)
-    c = model.as_coalgebra()
+    c = model.to_structure("coalgebra")
     sfile = models.load(args.sigma, "sigma")
     weight = _weight_of(sfile, args.weight, model)
     report = ybe.coabhybe_residual(c, model.map("alpha"), model.map("beta"),
@@ -147,7 +134,7 @@ def _cmd_co_ybe(args) -> int:
 
 def _cmd_dualize(args) -> int:
     model = models.load(args.file)
-    dual = constructions.dualize(model.as_bialgebra())
+    dual = constructions.dualize(model.to_structure("bialgebra"))
     _emit(dual, args.output, f"{model.name}-dual")
     return 0
 
@@ -155,17 +142,16 @@ def _cmd_dualize(args) -> int:
 def _cmd_tensor(args) -> int:
     x = models.load(args.a)
     y = models.load(args.b)
-    if args.co:
-        _, product = constructions.coaug_tensor_product(x.as_coaugmented(), y.as_coaugmented())
-    else:
-        _, product = constructions.aug_tensor_product(x.as_augmented(), y.as_augmented())
+    kind, build = (("coaugmented", constructions.coaug_tensor_product) if args.co
+                   else ("augmented", constructions.aug_tensor_product))
+    _, product = build(x.to_structure(kind), y.to_structure(kind))
     _emit(product, args.output, f"{x.name}-tensor-{y.name}")
     return 0
 
 
 def _cmd_prelie(args) -> int:
     model = models.load(args.file)
-    b = model.as_bialgebra()
+    b = model.to_structure("bialgebra")
     p = constructions.prelie_noninv(b) if args.noninv else constructions.prelie_from_bialgebra(b)
     _emit(p, args.output, f"{model.name}-prelie")
     return 0
@@ -173,14 +159,14 @@ def _cmd_prelie(args) -> int:
 
 def _cmd_prelie_coalgebra(args) -> int:
     model = models.load(args.file)
-    p = constructions.prelie_coalgebra(model.as_bialgebra(), noninv=args.noninv)
+    p = constructions.prelie_coalgebra(model.to_structure("bialgebra"), noninv=args.noninv)
     _emit(p, args.output, f"{model.name}-prelie-coalgebra")
     return 0
 
 
 def _cmd_rota_baxter(args) -> int:
     model = models.load(args.file)
-    a = model.as_algebra()
+    a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
     weight = _weight_of(rfile, args.weight, model)
     rb = constructions.rota_baxter_from_r(a, model.map("psi"), model.map("omega"),
@@ -191,7 +177,7 @@ def _cmd_rota_baxter(args) -> int:
 
 def _cmd_dendriform(args) -> int:
     model = models.load(args.file)
-    rb = model.as_rota_baxter()
+    rb = model.to_structure("rota-baxter")
     d = constructions.dendriform_from_rb(rb, variant=args.variant)
     _emit(d, args.output, f"{model.name}-dendriform")
     return 0
@@ -207,7 +193,7 @@ def _cmd_hopf_module(args) -> int:
     if args.vdim < 0:
         raise BihomError(f"--vdim must be a non-negative integer, got {args.vdim}")
     model = models.load(args.file)
-    b = model.as_bialgebra()
+    b = model.to_structure("bialgebra")
     variant = args.source.replace("-", "_")
     if variant in ("plain", "unital", "counital"):
         vdim = args.vdim
@@ -215,7 +201,7 @@ def _cmd_hopf_module(args) -> int:
         h = constructions.hopf_module_free(b, vdim, ident, ident, ident, ident,
                                            variant=variant)
     elif variant == "comodule_w0":
-        extra = (model._comodule_part() if model.comodule is not None
+        extra = (model.record(LeftComodule) if model.comodule is not None
                  else regular_left_comodule(b.coalgebra))
         vdim = extra.dim
         alpha_v = _pick_map(model.module, "alpha", Endo.identity(vdim))
@@ -224,7 +210,7 @@ def _cmd_hopf_module(args) -> int:
                                            extra.psi_m, extra.omega_m,
                                            variant=variant, extra=extra)
     elif variant == "module_w0":
-        extra = (model._module_part() if model.module is not None
+        extra = (model.record(LeftModule) if model.module is not None
                  else regular_left_module(b.algebra))
         vdim = extra.dim
         psi_v = _pick_map(model.comodule, "psi", Endo.identity(vdim))
@@ -235,7 +221,7 @@ def _cmd_hopf_module(args) -> int:
         if not args.r:
             raise BihomError("--r is required for the quasitriangular variants")
         rfile = models.load(args.r, "r")
-        module = (model._module_part() if model.module is not None
+        module = (model.record(LeftModule) if model.module is not None
                   else regular_left_module(b.algebra))
         regular = module.dim == b.dim
         psi_m = _pick_map(model.comodule, "psi",
@@ -248,7 +234,7 @@ def _cmd_hopf_module(args) -> int:
         if not args.sigma:
             raise BihomError("--sigma is required for the coquasitriangular variant")
         sfile = models.load(args.sigma, "sigma")
-        comodule = (model._comodule_part() if model.comodule is not None
+        comodule = (model.record(LeftComodule) if model.comodule is not None
                     else regular_left_comodule(b.coalgebra))
         regular = comodule.dim == b.dim
         alpha_m = _pick_map(model.module, "alpha",
@@ -268,7 +254,7 @@ def _cmd_hopf_module(args) -> int:
 
 def _cmd_search_r(args) -> int:
     model = models.load(args.file)
-    a = model.as_algebra()
+    a = model.to_structure("algebra")
     weight = _weight_of(model, args.weight)
     coeffs = [scalar_parse(tok) for tok in args.coeffs.split(",") if tok.strip()]
     solutions = ybe.grid_search_r(a, model.map("psi"), model.map("omega"),
@@ -329,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, help="check every axiom of a structure")
     p.add_argument("file")
-    p.add_argument("--kind", default="auto", choices=("auto",) + models.KINDS)
+    p.add_argument("--kind", default="auto", choices=("auto", *models.KINDS))
     p.add_argument("--full-axioms", action="store_true",
                    help="also check the three split dendriform relations")
 

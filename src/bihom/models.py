@@ -7,13 +7,26 @@ absent (no counit, no unit, ...). Sparse entries are parsed straight into
 the record's map, duplicates summed. Saving is canonical: entries sorted,
 zeros dropped, fixed key order, so identical structures produce
 byte-identical files.
+
+Two tables hold the schema. BLOCKS maps each JSON key to its ModelFile
+attribute and its format, in save order; one loop parses a file and one
+saves it. KINDS maps each structure kind, in inference order, to the blocks
+that mark a file of that kind, its record class and its checker. Records
+convert through their dataclass fields: a field is the ModelFile attribute
+of its name, a nested record is built from the same file, and the fields of
+a (co)module live in the `module` or `comodule` block, `alpha_m` under the
+key `alpha` and so on.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, get_type_hints
 
+from . import axioms
 from .errors import IndexOutOfRange, ParseError
 from .exactcore import (
     BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, ZERO, scalar_parse,
@@ -21,167 +34,131 @@ from .exactcore import (
 )
 from .structures import (
     Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform,
-    HopfBimodule, HopfModule, LeftComodule, LeftModule, PreLie,
-    PreLieCoalgebra, RotaBaxter, _action_layout,
+    HopfBimodule, HopfModule, PreLie, PreLieCoalgebra, RotaBaxter, _action_layout,
 )
 
 _MAP_KEYS = ("alpha", "beta", "psi", "omega")
 _ACTION_KEYS = ("action", "raction", "coaction", "rcoaction")
-
-KINDS = ("algebra", "coalgebra", "bialgebra", "hopf-module", "hopf-bimodule",
-         "rota-baxter", "dendriform", "prelie", "prelie-coalgebra",
-         "augmented", "coaugmented")
+# the (co)module record fields and the block that holds each
+_SIDES = {"action": "module", "raction": "module", "alpha_m": "module", "beta_m": "module",
+          "coaction": "comodule", "rcoaction": "comodule", "psi_m": "comodule",
+          "omega_m": "comodule"}
 
 
 @dataclass
 class ModelFile:
-    """A parsed model file; blocks are exact kernel objects or None."""
+    """A parsed model file: each block of BLOCKS as an exact kernel object,
+    or None where the file lacks it."""
 
     name: str
     dim: int
     weight: Q | None = None
-    mul: Mul | None = None
-    comul: Comul | None = None
-    maps: dict = field(default_factory=dict)
+    alpha: Endo | None = None
+    beta: Endo | None = None
+    psi: Endo | None = None
+    omega: Endo | None = None
     unit: Vec | None = None
     counit: Covec | None = None
-    r: Elem2 | None = None
-    sigma: BiForm | None = None
     chi: Covec | None = None
     zeta: Vec | None = None
-    rb_op: Endo | None = None
+    mul: Mul | None = None
+    comul: Comul | None = None
+    delta: Comul | None = None
     star: Mul | None = None
     prec: Mul | None = None
     succ: Mul | None = None
+    r: Elem2 | None = None
+    sigma: BiForm | None = None
+    op: Endo | None = None
     module: dict | None = None
     comodule: dict | None = None
 
     def map(self, key: str) -> Endo:
-        return self.maps.get(key) or Endo.identity(self.dim)
-
-    # ----- structure views -------------------------------------------------
+        return getattr(self, key) or Endo.identity(self.dim)
 
     def kind_auto(self) -> str:
-        if self.module is not None and self.comodule is not None:
-            if "raction" in self.module or "rcoaction" in self.comodule:
-                return "hopf-bimodule"
-            return "hopf-module"
-        if self.rb_op is not None:
-            return "rota-baxter"
-        if self.prec is not None and self.succ is not None:
-            return "dendriform"
-        if self.star is not None:
-            return "prelie"
-        if self.chi is not None:
-            return "augmented"
-        if self.zeta is not None:
-            return "coaugmented"
-        if self.mul is not None and self.comul is not None and self.weight is not None:
-            return "bialgebra"
-        if self.mul is not None:
-            return "algebra"
-        if self.comul is not None:
-            return "coalgebra"
+        """The first kind in KINDS whose marks are among the file's JSON keys
+        and the keys inside its module and comodule blocks."""
+        present = {key for key, (attr, _) in BLOCKS.items() if getattr(self, attr) is not None}
+        present.update(*(sub for sub in (self.module, self.comodule) if sub))
+        for kind, spec in KINDS.items():
+            if all(present.intersection(mark.split("|")) for mark in spec.marks.split()):
+                return kind
         raise ParseError(f"model {self.name!r}: cannot infer a structure kind")
 
-    def as_algebra(self) -> Algebra:
-        if self.mul is None:
-            raise ParseError(f"model {self.name!r} has no multiplication block")
-        return Algebra(self.dim, self.mul, self.map("alpha"), self.map("beta"), self.unit)
-
-    def as_coalgebra(self) -> Coalgebra:
-        if self.comul is None:
-            raise ParseError(f"model {self.name!r} has no comultiplication block")
-        return Coalgebra(self.dim, self.comul, self.map("psi"), self.map("omega"), self.counit)
-
-    def as_bialgebra(self) -> Bialgebra:
-        if self.weight is None:
-            raise ParseError(f"model {self.name!r} has no weight ('lambda')")
-        return Bialgebra(self.as_algebra(), self.as_coalgebra(), self.weight)
-
-    def as_augmented(self) -> Augmented:
-        if self.chi is None or self.weight is None:
-            raise ParseError(f"model {self.name!r} needs 'chi' and 'lambda'")
-        return Augmented(self.as_algebra(), self.chi, self.weight)
-
-    def as_coaugmented(self) -> Coaugmented:
-        if self.zeta is None or self.weight is None:
-            raise ParseError(f"model {self.name!r} needs 'zeta' and 'lambda'")
-        return Coaugmented(self.as_coalgebra(), self.zeta, self.weight)
-
-    def as_rota_baxter(self) -> RotaBaxter:
-        if self.rb_op is None or self.weight is None:
-            raise ParseError(f"model {self.name!r} needs 'R' and 'lambda'")
-        return RotaBaxter(self.as_algebra(), self.rb_op, self.weight)
-
-    def as_dendriform(self) -> Dendriform:
-        if self.prec is None or self.succ is None:
-            raise ParseError(f"model {self.name!r} needs 'prec' and 'succ'")
-        return Dendriform(self.dim, self.prec, self.succ, self.map("alpha"), self.map("beta"))
-
-    def as_prelie(self) -> PreLie:
-        if self.star is None:
-            raise ParseError(f"model {self.name!r} needs 'star'")
-        return PreLie(self.dim, self.star, self.map("alpha"), self.map("beta"))
-
-    def as_prelie_coalgebra(self) -> PreLieCoalgebra:
-        if self.comul is None:
-            raise ParseError(f"model {self.name!r} needs 'comul'")
-        return PreLieCoalgebra(self.dim, self.comul, self.map("psi"), self.map("omega"))
-
-    def _module_part(self) -> LeftModule:
-        blk = self.module
-        if blk is None or "action" not in blk:
-            raise ParseError(f"model {self.name!r} needs a module block with an action")
-        return LeftModule(self.as_algebra(), blk["dim"], blk["action"],
-                          blk.get("alpha") or Endo.identity(blk["dim"]),
-                          blk.get("beta") or Endo.identity(blk["dim"]))
-
-    def _comodule_part(self) -> LeftComodule:
-        blk = self.comodule
-        if blk is None or "coaction" not in blk:
-            raise ParseError(f"model {self.name!r} needs a comodule block with a coaction")
-        return LeftComodule(self.as_coalgebra(), blk["dim"], blk["coaction"],
-                            blk.get("psi") or Endo.identity(blk["dim"]),
-                            blk.get("omega") or Endo.identity(blk["dim"]))
-
-    def as_hopf_module(self) -> HopfModule:
-        mod, com = self._module_part(), self._comodule_part()
-        if mod.dim != com.dim:
-            raise ParseError(f"model {self.name!r}: module and comodule dims differ")
-        return HopfModule(self.as_bialgebra(), mod, com)
-
-    def as_hopf_bimodule(self) -> HopfBimodule:
-        mod_blk, com_blk = self.module, self.comodule
-        if mod_blk is None or com_blk is None:
-            raise ParseError(f"model {self.name!r} needs module and comodule blocks")
-        for key, blk in (("raction", mod_blk), ("rcoaction", com_blk)):
-            if key not in blk:
-                raise ParseError(f"model {self.name!r} needs a {key!r} block")
-        dim = mod_blk["dim"]
-        if com_blk["dim"] != dim:
-            raise ParseError(f"model {self.name!r}: module and comodule dims differ")
-        return HopfBimodule(
-            self.as_bialgebra(), dim,
-            mod_blk["action"], mod_blk["raction"],
-            com_blk["coaction"], com_blk["rcoaction"],
-            mod_blk.get("alpha") or Endo.identity(dim),
-            mod_blk.get("beta") or Endo.identity(dim),
-            com_blk.get("psi") or Endo.identity(dim),
-            com_blk.get("omega") or Endo.identity(dim))
-
     def to_structure(self, kind: str):
-        table = {
-            "algebra": self.as_algebra, "coalgebra": self.as_coalgebra,
-            "bialgebra": self.as_bialgebra, "hopf-module": self.as_hopf_module,
-            "hopf-bimodule": self.as_hopf_bimodule, "rota-baxter": self.as_rota_baxter,
-            "dendriform": self.as_dendriform, "prelie": self.as_prelie,
-            "prelie-coalgebra": self.as_prelie_coalgebra,
-            "augmented": self.as_augmented, "coaugmented": self.as_coaugmented,
-        }
-        if kind not in table:
+        if kind not in KINDS:
             raise ParseError(f"unknown structure kind {kind!r}")
-        return table[kind]()
+        return self.record(KINDS[kind].record)
+
+    def as_algebra(self) -> Algebra:
+        return self.to_structure("algebra")
+
+    def record(self, cls):
+        """The record cls built from this file. An absent twist is the
+        identity and an absent optional part None; any other absent part
+        is a ParseError naming its block."""
+        fields = _fields(cls)
+        sides = sorted({_SIDES[f] for f in fields if f in _SIDES})
+        dim = self._carrier_dim(sides) if sides else self.dim
+        args = {}
+        for name, (typ, optional) in fields.items():
+            side = _SIDES.get(name)
+            if name == "dim":
+                value = dim
+            elif _is_record(typ):
+                value = self.record(typ)
+            elif side:
+                key = name.removesuffix("_m")
+                value, where = getattr(self, side).get(key), f"{key!r} block in {side!r}"
+            else:
+                value, where = getattr(self, name), f"{_KEY_OF[name]!r} block"
+            if value is None and typ is Endo:
+                value = Endo.identity(dim)
+            elif value is None and not optional:
+                raise ParseError(f"model {self.name!r} has no {where}")
+            args[name] = value
+        return cls(**args)
+
+    def _carrier_dim(self, sides: list[str]) -> int:
+        """The one dim of the module and comodule blocks in sides."""
+        for side in sides:
+            if getattr(self, side) is None:
+                raise ParseError(f"model {self.name!r} has no {side!r} block")
+        dims = {getattr(self, side)["dim"] for side in sides}
+        if len(dims) > 1:
+            raise ParseError(f"model {self.name!r}: module and comodule dims differ")
+        return dims.pop()
+
+
+def _is_record(typ) -> bool:
+    """A structure record type, built from the same file in turn."""
+    return getattr(typ, "__module__", None) == Algebra.__module__
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of the record class cls: its type, and whether it may be None."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is None) for f in dataclasses.fields(cls)}
+
+
+def _flatten(rec, parts: dict) -> dict:
+    """The ModelFile attributes of the record rec added to parts, where
+    the first writer wins (a module's `over` repeats its Hopf module's)."""
+    sides = {_SIDES[f.name] for f in dataclasses.fields(rec) if f.name in _SIDES}
+    for f in dataclasses.fields(rec):
+        value = getattr(rec, f.name)
+        if _is_record(type(value)):
+            _flatten(value, parts)
+        elif f.name in _SIDES:
+            parts.setdefault(_SIDES[f.name], {})[f.name.removesuffix("_m")] = value
+        elif f.name == "dim" and sides:
+            for side in sides:
+                parts.setdefault(side, {})["dim"] = value
+        else:
+            parts.setdefault(f.name, value)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -233,22 +210,17 @@ def _parse_entries(raw, dims: tuple[int, ...], target: tuple[int, ...], where: s
     return table_map(cells, dims, target, where)
 
 
-def _parse_record(cls, raw, dim: int, where: str):
-    return cls(dim, _parse_entries(raw, (dim,) * cls.legs, cls.target, where))
-
-
 def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
     if not isinstance(raw, dict) or "dim" not in raw or not _is_int(raw["dim"]) \
             or raw["dim"] < 0:
         raise ParseError(f"{where}: expected an object with a non-negative integer 'dim'")
     dim = raw["dim"]
     out: dict = {"dim": dim}
-    for key in _MAP_KEYS:
+    for key in (*_MAP_KEYS, *_ACTION_KEYS):
         if key in raw:
-            out[key] = _parse_matrix(raw[key], dim, f"{where}.{key}")
-    for key in _ACTION_KEYS:
-        if key in raw:
-            out[key] = _parse_entries(raw[key], *_action_layout(key, dim_a, dim), f"{where}.{key}")
+            at = f"{where}.{key}"
+            out[key] = (_parse_matrix(raw[key], dim, at) if key in _MAP_KEYS else
+                        _parse_entries(raw[key], *_action_layout(key, dim_a, dim), at))
     return out
 
 
@@ -257,34 +229,12 @@ def model_from_dict(doc: dict, name_hint: str = "model") -> ModelFile:
         raise ParseError("top level must be a JSON object")
     if "dim" not in doc or not _is_int(doc["dim"]) or doc["dim"] <= 0:
         raise ParseError("field 'dim': expected a positive integer")
+    name = doc.get("name", name_hint)
+    if not isinstance(name, str):
+        raise ParseError("field 'name': expected a string")
     dim = doc["dim"]
-    model = ModelFile(name=doc.get("name", name_hint), dim=dim)
-    if "lambda" in doc:
-        model.weight = _parse_scalar_field(doc["lambda"], "field 'lambda'")
-    for key in _MAP_KEYS:
-        if key in doc:
-            model.maps[key] = _parse_matrix(doc[key], dim, f"field {key!r}")
-    for key, cls in (("mul", Mul), ("comul", Comul), ("star", Mul), ("prec", Mul), ("succ", Mul)):
-        if key in doc:
-            setattr(model, key, _parse_record(cls, doc[key], dim, f"field {key!r}"))
-    if "unit" in doc:
-        model.unit = Vec(dim, _parse_vector(doc["unit"], dim, "field 'unit'"))
-    if "counit" in doc:
-        model.counit = Covec(dim, _parse_vector(doc["counit"], dim, "field 'counit'"))
-    if "chi" in doc:
-        model.chi = Covec(dim, _parse_vector(doc["chi"], dim, "field 'chi'"))
-    if "zeta" in doc:
-        model.zeta = Vec(dim, _parse_vector(doc["zeta"], dim, "field 'zeta'"))
-    for key, cls in (("r", Elem2), ("sigma", BiForm)):
-        if key in doc:
-            setattr(model, key, _parse_record(cls, doc[key], dim, f"field {key!r}"))
-    if "R" in doc:
-        model.rb_op = _parse_matrix(doc["R"], dim, "field 'R'")
-    if "module" in doc:
-        model.module = _parse_sub_block(doc["module"], dim, "field 'module'")
-    if "comodule" in doc:
-        model.comodule = _parse_sub_block(doc["comodule"], dim, "field 'comodule'")
-    return model
+    return ModelFile(name, dim, **{attr: fmt.parse(doc[key], dim, f"field {key!r}")
+                                   for key, (attr, fmt) in BLOCKS.items() if key in doc})
 
 
 def load(path: str, block: str | None = None) -> ModelFile:
@@ -326,103 +276,103 @@ def _matrix_out(endo: Endo) -> list:
     return [[scalar_render(x) for x in row] for row in endo.entries]
 
 
-def _vector_out(vec) -> list:
-    return [scalar_render(x) for x in vec.coeffs]
+def _sub_block_out(blk: dict, dim_a: int) -> dict:
+    out: dict = {"dim": blk["dim"]}
+    for key in (*_MAP_KEYS, *_ACTION_KEYS):
+        if key in blk:
+            out[key] = (_matrix_out(blk[key]) if key in _MAP_KEYS else
+                        _entries_out(blk[key], *_action_layout(key, dim_a, blk["dim"])))
+    return out
 
 
 def model_to_dict(model: ModelFile) -> dict:
     doc: dict = {"name": model.name, "dim": model.dim}
-    if model.weight is not None:
-        doc["lambda"] = scalar_render(model.weight)
-    for key in _MAP_KEYS:
-        if key in model.maps:
-            doc[key] = _matrix_out(model.maps[key])
-    for key in ("unit", "counit", "chi", "zeta"):
-        if getattr(model, key) is not None:
-            doc[key] = _vector_out(getattr(model, key))
-    for key in ("mul", "comul", "star", "prec", "succ", "r", "sigma"):
-        if getattr(model, key) is not None:
-            doc[key] = entries_out(getattr(model, key))
-    if model.rb_op is not None:
-        doc["R"] = _matrix_out(model.rb_op)
-    for key, attr in (("module", model.module), ("comodule", model.comodule)):
-        if attr is not None:
-            blk: dict = {"dim": attr["dim"]}
-            for mk in _MAP_KEYS:
-                if mk in attr:
-                    blk[mk] = _matrix_out(attr[mk])
-            for tk in _ACTION_KEYS:
-                if tk in attr:
-                    blk[tk] = _entries_out(attr[tk], *_action_layout(tk, model.dim, attr["dim"]))
-            doc[key] = blk
+    for key, (attr, fmt) in BLOCKS.items():
+        if getattr(model, attr) is not None:
+            doc[key] = fmt.render(getattr(model, attr), model.dim)
     return doc
 
 
-def structure_to_model(obj, name: str = "model") -> ModelFile:
-    """Wrap a structure record as a model ready for saving."""
+def structure_to_model(obj, name: str | None = None) -> ModelFile:
+    """A record, or a model, as a model ready for saving under name (by
+    default the model's own name, or 'model')."""
     if isinstance(obj, ModelFile):
-        return obj
-    if isinstance(obj, Algebra):
-        return ModelFile(name, obj.dim, mul=obj.mul, unit=obj.unit,
-                         maps={"alpha": obj.alpha, "beta": obj.beta})
-    if isinstance(obj, Coalgebra):
-        return ModelFile(name, obj.dim, comul=obj.comul, counit=obj.counit,
-                         maps={"psi": obj.psi, "omega": obj.omega})
-    if isinstance(obj, Bialgebra):
-        return ModelFile(
-            name, obj.dim, weight=obj.weight, mul=obj.algebra.mul,
-            comul=obj.coalgebra.comul, unit=obj.algebra.unit,
-            counit=obj.coalgebra.counit,
-            maps={"alpha": obj.algebra.alpha, "beta": obj.algebra.beta,
-                  "psi": obj.coalgebra.psi, "omega": obj.coalgebra.omega})
-    if isinstance(obj, Augmented):
-        base = structure_to_model(obj.algebra, name)
-        base.chi = obj.chi
-        base.weight = obj.weight
-        return base
-    if isinstance(obj, Coaugmented):
-        base = structure_to_model(obj.coalgebra, name)
-        base.zeta = obj.zeta
-        base.weight = obj.weight
-        return base
-    if isinstance(obj, RotaBaxter):
-        base = structure_to_model(obj.algebra, name)
-        base.rb_op = obj.op
-        base.weight = obj.weight
-        return base
-    if isinstance(obj, Dendriform):
-        return ModelFile(name, obj.dim, prec=obj.prec, succ=obj.succ,
-                         maps={"alpha": obj.alpha, "beta": obj.beta})
-    if isinstance(obj, PreLie):
-        return ModelFile(name, obj.dim, star=obj.star,
-                         maps={"alpha": obj.alpha, "beta": obj.beta})
-    if isinstance(obj, PreLieCoalgebra):
-        return ModelFile(name, obj.dim, comul=obj.delta,
-                         maps={"psi": obj.psi, "omega": obj.omega})
-    if isinstance(obj, HopfModule):
-        base = structure_to_model(obj.over, name)
-        base.module = {"dim": obj.module.dim, "alpha": obj.module.alpha_m,
-                       "beta": obj.module.beta_m, "action": obj.module.action}
-        base.comodule = {"dim": obj.comodule.dim, "psi": obj.comodule.psi_m,
-                         "omega": obj.comodule.omega_m, "coaction": obj.comodule.coaction}
-        return base
-    if isinstance(obj, HopfBimodule):
-        base = structure_to_model(obj.over, name)
-        base.module = {"dim": obj.dim, "alpha": obj.alpha_m, "beta": obj.beta_m,
-                       "action": obj.action, "raction": obj.raction}
-        base.comodule = {"dim": obj.dim, "psi": obj.psi_m, "omega": obj.omega_m,
-                         "coaction": obj.coaction, "rcoaction": obj.rcoaction}
-        return base
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return obj if name is None else dataclasses.replace(obj, name=name)
+    return ModelFile("model" if name is None else name, **_flatten(obj, {}))
 
 
-def dumps(obj, name: str = "model") -> str:
+def _text(obj, name: str | None) -> str:
     return json.dumps(model_to_dict(structure_to_model(obj, name)), indent=2) + "\n"
 
 
+def dumps(obj, name: str | None = None) -> str:
+    return _text(obj, name)
+
+
 def save(obj, path: str, name: str | None = None):
-    model = structure_to_model(obj, name or getattr(obj, "name", "model"))
-    if name is not None:
-        model.name = name
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_dict(model), indent=2) + "\n")
+        fh.write(_text(obj, name))
+
+
+# ---------------------------------------------------------------------------
+# the tables
+
+
+class _Format(NamedTuple):
+    parse: Callable     # (JSON value, dim, where) -> block
+    render: Callable    # (block, dim) -> JSON value
+
+
+def _vector(cls) -> _Format:
+    return _Format(lambda raw, dim, where: cls(dim, _parse_vector(raw, dim, where)),
+                   lambda vec, dim: [scalar_render(x) for x in vec.coeffs])
+
+
+def _sparse(cls) -> _Format:
+    return _Format(lambda raw, dim, where: cls(dim, _parse_entries(
+        raw, (dim,) * cls.legs, cls.target, where)), lambda rec, dim: entries_out(rec))
+
+
+_SCALAR = _Format(lambda raw, dim, where: _parse_scalar_field(raw, where),
+                  lambda x, dim: scalar_render(x))
+_MATRIX = _Format(_parse_matrix, lambda endo, dim: _matrix_out(endo))
+_SUB_BLOCK = _Format(_parse_sub_block, _sub_block_out)
+
+# JSON key -> (ModelFile attribute, format), in save order
+BLOCKS = {
+    "lambda": ("weight", _SCALAR),
+    "alpha": ("alpha", _MATRIX), "beta": ("beta", _MATRIX),
+    "psi": ("psi", _MATRIX), "omega": ("omega", _MATRIX),
+    "unit": ("unit", _vector(Vec)), "counit": ("counit", _vector(Covec)),
+    "chi": ("chi", _vector(Covec)), "zeta": ("zeta", _vector(Vec)),
+    "mul": ("mul", _sparse(Mul)), "comul": ("comul", _sparse(Comul)),
+    "costar": ("delta", _sparse(Comul)), "star": ("star", _sparse(Mul)),
+    "prec": ("prec", _sparse(Mul)), "succ": ("succ", _sparse(Mul)),
+    "r": ("r", _sparse(Elem2)), "sigma": ("sigma", _sparse(BiForm)),
+    "R": ("op", _MATRIX),
+    "module": ("module", _SUB_BLOCK), "comodule": ("comodule", _SUB_BLOCK),
+}
+_KEY_OF = {attr: key for key, (attr, _) in BLOCKS.items()}
+
+
+class Kind(NamedTuple):
+    marks: str          # the blocks a file of the kind has; a|b means either
+    record: type
+    check: Callable
+
+
+# in inference order: a file is of the first kind whose marks it has
+KINDS = {
+    "hopf-bimodule": Kind("module comodule raction|rcoaction", HopfBimodule,
+                          axioms.check_hopf_bimodule),
+    "hopf-module": Kind("module comodule", HopfModule, axioms.check_hopf_module),
+    "rota-baxter": Kind("R", RotaBaxter, axioms.check_rota_baxter),
+    "dendriform": Kind("prec succ", Dendriform, axioms.check_dendriform),
+    "prelie": Kind("star", PreLie, axioms.check_prelie),
+    "prelie-coalgebra": Kind("costar", PreLieCoalgebra, axioms.check_prelie_coalgebra),
+    "augmented": Kind("chi", Augmented, axioms.check_augmented),
+    "coaugmented": Kind("zeta", Coaugmented, axioms.check_coaugmented),
+    "bialgebra": Kind("mul comul lambda", Bialgebra, axioms.check_infbh_bialgebra),
+    "algebra": Kind("mul", Algebra, axioms.check_bihom_algebra),
+    "coalgebra": Kind("comul", Coalgebra, axioms.check_bihom_coalgebra),
+}

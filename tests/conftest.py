@@ -15,27 +15,27 @@ def dual_numbers():
 
 @pytest.fixture
 def kz2():
-    return catalog.entry("kz2").as_bialgebra()
+    return catalog.entry("kz2").to_structure("bialgebra")
 
 
 @pytest.fixture
 def kz2_yau():
-    return catalog.entry("kz2-yau").as_bialgebra()
+    return catalog.entry("kz2-yau").to_structure("bialgebra")
 
 
 @pytest.fixture
 def trivial_left():
-    return catalog.entry("trivial-left").as_bialgebra()
+    return catalog.entry("trivial-left").to_structure("bialgebra")
 
 
 @pytest.fixture
 def trivial_right():
-    return catalog.entry("trivial-right").as_bialgebra()
+    return catalog.entry("trivial-right").to_structure("bialgebra")
 
 
 @pytest.fixture
 def trunc_poly_2():
-    return catalog.entry("trunc-poly-2").as_bialgebra()
+    return catalog.entry("trunc-poly-2").to_structure("bialgebra")
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ def r_one():
 
 @pytest.fixture
 def catalog_bialgebras():
-    return {name: catalog.entry(name).as_bialgebra()
+    return {name: catalog.entry(name).to_structure("bialgebra")
             for name in ("kz2", "kz2-yau", "trivial-left", "trivial-right",
                          "trunc-poly-2", "trunc-poly-3")}
 

@@ -32,7 +32,7 @@ def _ok(n, title):
 
 def _hosts():
     dn = catalog.entry("dual-numbers").as_algebra()
-    yau = catalog.entry("kz2-yau").as_bialgebra()
+    yau = catalog.entry("kz2-yau").to_structure("bialgebra")
     return [
         ("dual-numbers", dn, ID2, ID2),
         ("kz2-yau", yau.algebra, yau.coalgebra.psi, yau.coalgebra.omega),
@@ -43,12 +43,12 @@ def test_criterion_1_axiom_soundness():
     for name in POSITIVE_ENTRIES:
         model = catalog.entry(name)
         kind = catalog.EXPECTATIONS[name][0]
-        report = (axioms.check_infbh_bialgebra(model.as_bialgebra())
+        report = (axioms.check_infbh_bialgebra(model.to_structure("bialgebra"))
                   if kind == "bialgebra"
                   else axioms.check_bihom_algebra(model.as_algebra()))
         assert report.passed, (name, report.violations[:3])
     for order in (2, 3):
-        b = catalog.entry(f"trunc-poly-{order}").as_bialgebra()
+        b = catalog.entry(f"trunc-poly-{order}").to_structure("bialgebra")
         report = axioms.check_infbh_bialgebra(b)
         expected = {(i, j) for i in range(order + 1) for j in range(order + 1)
                     if i + j > order}
@@ -59,12 +59,12 @@ def test_criterion_1_axiom_soundness():
 
 def _mutation_corpus():
     """The catalog plus 100 deterministic structure-constant mutations."""
-    cases = [catalog.entry(n).as_bialgebra()
+    cases = [catalog.entry(n).to_structure("bialgebra")
              for n in ("kz2", "kz2-yau", "trivial-left", "trivial-right",
                        "trunc-poly-2", "trunc-poly-3")]
     dn = catalog.entry("dual-numbers").as_algebra()
     cases.append(C.trivial_coproduct(dn, ID2, ID2, 0))
-    seeds = [catalog.entry(n).as_bialgebra()
+    seeds = [catalog.entry(n).to_structure("bialgebra")
              for n in ("kz2", "trivial-left", "trivial-right", "trunc-poly-2")]
     seeds.append(cases[-1])
     for k in range(100):
@@ -169,7 +169,7 @@ def _weight_zero_base():
 
 def test_criterion_6_hopf_module_theorems():
     count = 0
-    passing = [catalog.entry(n).as_bialgebra()
+    passing = [catalog.entry(n).to_structure("bialgebra")
                for n in ("kz2", "kz2-yau", "trivial-left", "trivial-right")]
     for b in passing:
         for vdim in (1, 2):
@@ -179,7 +179,7 @@ def test_criterion_6_hopf_module_theorems():
                 assert axioms.check_hopf_module(h).passed, (b, variant)
                 count += 1
     for name in ("trivial-left", "trivial-right"):
-        dual = C.dualize(catalog.entry(name).as_bialgebra())
+        dual = C.dualize(catalog.entry(name).to_structure("bialgebra"))
         for vdim in (1, 2):
             iv = Endo.identity(vdim)
             h = C.hopf_module_free(dual, vdim, iv, iv, iv, iv, "counital")
@@ -237,7 +237,7 @@ def test_criterion_7_operator_chain():
     for variant in ("prec", "succ"):
         d = C.dendriform_from_rb(rb, variant)
         assert axioms.check_dendriform(d).passed
-    passing = {n: catalog.entry(n).as_bialgebra()
+    passing = {n: catalog.entry(n).to_structure("bialgebra")
                for n in ("kz2", "kz2-yau", "trivial-left", "trivial-right")}
     for name, b in passing.items():
         assert axioms.check_prelie(C.prelie_from_bialgebra(b)).passed, name
@@ -252,7 +252,7 @@ def test_criterion_7_operator_chain():
 def test_criterion_8_duality():
     for name in ("kz2", "kz2-yau", "trivial-left", "trivial-right",
                   "trunc-poly-2", "trunc-poly-3"):
-        b = catalog.entry(name).as_bialgebra()
+        b = catalog.entry(name).to_structure("bialgebra")
         assert C.dualize(C.dualize(b)) == b, name
     dn = catalog.entry("dual-numbers").as_algebra()
     cdual = C.dual_coalgebra(dn)
@@ -278,14 +278,14 @@ def test_criterion_8_duality():
 
 def test_criterion_9_twist_and_morphism():
     theta = Endo(2, ((1, 0), (0, -1)))
-    kz2 = catalog.entry("kz2").as_bialgebra()
+    kz2 = catalog.entry("kz2").to_structure("bialgebra")
     twisted = C.yau_twist(kz2, theta, theta, theta, theta)
     assert axioms.check_infbh_bialgebra(twisted).passed
-    assert twisted == catalog.entry("kz2-yau").as_bialgebra()
+    assert twisted == catalog.entry("kz2-yau").to_structure("bialgebra")
     counitary = []
     for name in ("trivial-left", "trivial-right"):
-        counitary.append(C.dualize(catalog.entry(name).as_bialgebra()))
-    tp2 = catalog.entry("trunc-poly-2").as_coalgebra()
+        counitary.append(C.dualize(catalog.entry(name).to_structure("bialgebra")))
+    tp2 = catalog.entry("trunc-poly-2").to_structure("coalgebra")
     id3 = Endo.identity(3)
     for side in ("left", "right"):
         counitary.append(C.trivial_product(tp2, id3, id3, Q(-1), side=side))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +13,15 @@ from hypothesis import strategies as st
 from bihom import catalog, models
 from bihom.cli import run
 from bihom.errors import BadScalar, IndexOutOfRange, ParseError
+from bihom.exactcore import Comul, Covec, Endo, Mul, Vec
+from bihom.structures import (
+    Algebra, Augmented, Bialgebra, Coalgebra, Coaugmented, Dendriform, HopfBimodule,
+    HopfModule, LeftComodule, LeftModule, PreLie, PreLieCoalgebra, RotaBaxter,
+    _action_layout,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN_INPUTS = os.path.join(ROOT, "tests", "golden", "inputs")
 
 
 @pytest.fixture
@@ -79,6 +89,111 @@ def test_sparse_blocks_roundtrip_to_canonical_entries(data):
     assert models.model_to_dict(models.model_from_dict(doc)) == {"name": "x", "dim": n, **expected}
 
 
+_SCALARS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _cells(draw, dims):
+    """A sparse table on legs dims, as {index tuple: value}."""
+    if 0 in dims:
+        return {}
+    index = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    return draw(st.dictionaries(index, _SCALARS, max_size=4))
+
+
+@st.composite
+def _records(draw, kind):
+    """A record of the kind on a space of dim 1 or 2, its (co)module
+    carriers of dim 0 to 2; every part is drawn, none has to obey a law."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+
+    def part(cls, dim=n):
+        return cls(dim, draw(_cells((dim,) * cls.legs)))
+
+    def action(key):
+        return draw(_cells(_action_layout(key, n, m)[0]))
+
+    algebra = Algebra(n, part(Mul), part(Endo), part(Endo), draw(st.none() | st.just(part(Vec))))
+    coalgebra = Coalgebra(n, part(Comul), part(Endo), part(Endo),
+                          draw(st.none() | st.just(part(Covec))))
+    weight = draw(_SCALARS)
+    bialgebra = Bialgebra(algebra, coalgebra, weight)
+    build = {
+        "hopf-bimodule": lambda: HopfBimodule(
+            bialgebra, m, action("action"), action("raction"), action("coaction"),
+            action("rcoaction"), *(part(Endo, m) for _ in range(4))),
+        "hopf-module": lambda: HopfModule(
+            bialgebra, LeftModule(algebra, m, action("action"), part(Endo, m), part(Endo, m)),
+            LeftComodule(coalgebra, m, action("coaction"), part(Endo, m), part(Endo, m))),
+        "rota-baxter": lambda: RotaBaxter(algebra, part(Endo), weight),
+        "dendriform": lambda: Dendriform(n, part(Mul), part(Mul), part(Endo), part(Endo)),
+        "prelie": lambda: PreLie(n, part(Mul), part(Endo), part(Endo)),
+        "prelie-coalgebra": lambda: PreLieCoalgebra(n, part(Comul), part(Endo), part(Endo)),
+        "augmented": lambda: Augmented(algebra, part(Covec), weight),
+        "coaugmented": lambda: Coaugmented(coalgebra, part(Vec), weight),
+        "bialgebra": lambda: bialgebra,
+        "algebra": lambda: algebra,
+        "coalgebra": lambda: coalgebra,
+    }
+    return build[kind]()
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_every_kind_round_trips_through_its_file(kind, data):
+    """A record saved and read back is inferred as its own kind and
+    rebuilds the same record."""
+    record = data.draw(_records(kind))
+    model = models.model_from_dict(json.loads(models.dumps(record)))
+    assert model.kind_auto() == kind
+    assert model.to_structure(kind) == record
+
+
+def test_dumps_writes_the_name_it_is_given():
+    model = catalog.entry("kz2")
+    assert json.loads(models.dumps(model, name="other"))["name"] == "other"
+    assert json.loads(models.dumps(model))["name"] == "kz2"
+    assert model.name == "kz2"
+
+
+def test_save_writes_the_name_without_renaming_the_model(tmp_path):
+    model = catalog.entry("kz2")
+    models.save(model, str(tmp_path / "x.json"), name="x")
+    assert models.load(str(tmp_path / "x.json")).name == "x"
+    assert model.name == "kz2"
+
+
+@pytest.mark.parametrize("side, missing", [("comodule", "rcoaction"), ("module", "raction")])
+def test_hopf_bimodule_without_a_one_sided_block_exits_2_naming_it(tmp_path, capsys,
+                                                                   side, missing):
+    """One right (co)action marks a Hopf bimodule, so the file is not checked
+    as a Hopf module: it is refused, naming the block it lacks."""
+    with open(os.path.join(GOLDEN_INPUTS, "kz2-yau-hbm.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    del doc[side][missing]
+    path = tmp_path / "hbm.json"
+    path.write_text(json.dumps(doc))
+    assert models.load(str(path)).kind_auto() == "hopf-bimodule"
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{missing!r}" in captured.err
+
+
+def test_readme_kind_table_is_the_kinds_table():
+    """The README lists the `verify --kind` choices in inference order, each
+    with the blocks that mark it."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    table = text[text.index("| kind | marked by |"):]
+    table = table[:table.index("\n\n")]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", table, re.MULTILINE)
+    assert [kind for kind, _ in rows] == list(models.KINDS)
+    for kind, marks in rows:
+        assert re.findall(r"`(\w+)`", marks) == models.KINDS[kind].marks.replace("|", " ").split()
+
+
 def test_index_out_of_range(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "bad", "dim": 2, "mul": [[0, 0, 5, "1"]]}')
@@ -105,6 +220,16 @@ def test_boolean_dim_or_index_rejected(tmp_path, capsys, text):
         models.load(str(path))
     assert run(["verify", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_string_name_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "name": ["x"], "mul": [[0, 0, 0, "1"]]}')
+    with pytest.raises(ParseError, match="field 'name'"):
+        models.load(str(path))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: field 'name'")
 
 
 @pytest.mark.parametrize("block", ["module", "comodule"])
@@ -423,7 +548,7 @@ def test_hopf_bimodule_roundtrip_and_verify(tmp_path, capsys):
     models.save(h, str(path))
     again = models.load(str(path))
     assert again.kind_auto() == "hopf-bimodule"
-    assert again.as_hopf_bimodule() == h
+    assert again.to_structure("hopf-bimodule") == h
     assert run(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "hopf-bimodule" in out

@@ -121,14 +121,14 @@ def _tensor(a, b):
 
 
 def test_comul_apply_trivial_left():
-    comul = catalog.entry("trivial-left").as_coalgebra().comul
+    comul = catalog.entry("trivial-left").to_structure("coalgebra").comul
     x = Vec.basis(2, 1)
     assert Elem2(2, comul.map @ x.map) == _tensor(x, Vec.basis(2, 0)).scale(-1)
     assert Elem2(2, comul.map @ Vec.zero(2).map) == Elem2.zero(2)
 
 
 def test_comul_apply_divided_powers():
-    comul = catalog.entry("trunc-poly-2").as_coalgebra().comul
+    comul = catalog.entry("trunc-poly-2").to_structure("coalgebra").comul
     x2 = Vec.basis(3, 2)
     expected = (_tensor(Vec.basis(3, 0), x2)
                 + _tensor(Vec.basis(3, 1), Vec.basis(3, 1))
@@ -506,7 +506,7 @@ def test_check_infbh_bialgebra_barely_coerces(coerce_calls):
     """The structure maps and every composite of a dimension-8 check are
     built from cells that are already exact."""
     path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "trunc-poly-7.json")
-    b = models.load(path).as_bialgebra()
+    b = models.load(path).to_structure("bialgebra")
     coerce_calls[0] = 0
     assert axioms.check_infbh_bialgebra(b).violations
     assert coerce_calls[0] <= 24
@@ -524,7 +524,7 @@ def test_kernel_results_stay_sparse(monkeypatch, capsys):
 
     monkeypatch.setattr(LinMap, "__post_init__", record)
     path = os.path.join(os.path.dirname(__file__), "golden", "inputs", "trunc-poly-7.json")
-    assert axioms.check_infbh_bialgebra(models.load(path).as_bialgebra()).violations
+    assert axioms.check_infbh_bialgebra(models.load(path).to_structure("bialgebra")).violations
     assert cli.run(["verify", path, "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["violations"]
     assert built and not [m for m in built if "a" in m.__dict__]

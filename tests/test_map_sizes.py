@@ -34,7 +34,7 @@ def largest(monkeypatch):
 
 @pytest.fixture(scope="module")
 def host():
-    return catalog._trunc_poly(N - 1).as_bialgebra()
+    return catalog._trunc_poly(N - 1).to_structure("bialgebra")
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_co_residual_builds_no_fourth_power_matrix(host, largest, anti):
 
 
 def test_tensor_products_stay_within_the_product_table(host, largest):
-    small = catalog.entry("trunc-poly-2").as_bialgebra()
+    small = catalog.entry("trunc-poly-2").to_structure("bialgebra")
     dim = N * small.dim
 
     def aug(b):

@@ -69,3 +69,23 @@ def test_traced_search_tells_evaluated_from_pruned(tracing, kz2_yau, monkeypatch
     assert totals["ybe.search"]["extras"] == [{"n": len(solutions)}]
     assert len(solutions) == 2
     assert "ybe.candidate" not in totals
+
+
+def test_traced_verify_records_its_checker_and_structure(tracing, tmp_path, capsys):
+    """verify looks its checker up in cli.CHECKERS and builds the record with
+    ModelFile.to_structure: the names the tracer wraps for those layers."""
+    path = tmp_path / "kz2.json"
+    path.write_text(bihom.models.dumps(bihom.catalog.entry("kz2")))
+    rec = tracing.Recorder()
+    restore = tracing.install(rec, bihom)
+    try:
+        rec.enabled = True
+        rc = bihom.cli.run(["verify", str(path)])
+        rec.enabled = False
+    finally:
+        restore()
+    assert rc == 0
+    assert capsys.readouterr().out == "PASS: kz2 as bialgebra\n"
+    totals = rec.totals()
+    assert totals["axioms.check"]["calls"] == 1
+    assert totals["models.to_structure"]["calls"] == 1

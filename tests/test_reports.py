@@ -29,7 +29,7 @@ def _with_cell(record, cls, target, cell, value):
 
 def _kz2_yau_mutated() -> Bialgebra:
     """kz2-yau with one coproduct cell added and psi no longer diagonal."""
-    b = catalog.entry("kz2-yau").as_bialgebra()
+    b = catalog.entry("kz2-yau").to_structure("bialgebra")
     c = b.coalgebra
     comul = _with_cell(c.comul, Comul, (1, 2), (1, 1, 1), Q(1))
     return Bialgebra(b.algebra, Coalgebra(2, comul, Endo(2, ((1, 1), (0, -1))), c.omega),
