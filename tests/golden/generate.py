@@ -285,7 +285,7 @@ def make_perturbed() -> dict:
             ("kz2-yau-rb-plus-x-R", "kz2-yau-rb-plus.json", ("R", 0, 1), "1"),  # (RB.alpha) (RB.beta)
             ("kz2-yau-prelie-x-star", prelie, ("star", (0, 0, 0)), "1"),  # (13.1)
             ("kz2-yau-prelie-x-alpha", prelie, ("alpha", 1, 1), "2"),  # (13.1m)
-            ("kz2-dr-prelie-co-x-comul", prelie_co, ("comul", (0, 0, 1)), "1"),  # (co13.1)
+            ("kz2-dr-prelie-co-x-comul", prelie_co, ("costar", (0, 0, 1)), "1"),  # (co13.1)
             ("kz2-dr-prelie-co-x-psi", prelie_co, ("psi", 1, 0), "1"),  # (co13.1m)
             ("kz2-yau-rb-plus-dend-x-prec", dend, ("prec", (0, 0, 0)), "1"),  # (D.1)-(D.3)
             ("kz2-yau-rb-plus-dend-x-alpha", dend, ("alpha", 1, 1), "2"),  # (D.maps)
