@@ -80,7 +80,8 @@ class ModelFile:
         """The first kind in KINDS whose marks are among the file's JSON keys
         and the keys inside its module and comodule blocks."""
         present = {key for key, (attr, _) in BLOCKS.items() if getattr(self, attr) is not None}
-        present.update(*(sub for sub in (self.module, self.comodule) if sub))
+        for sub in (self.module, self.comodule):
+            present.update(sub or ())
         for kind, spec in KINDS.items():
             if all(present.intersection(mark.split("|")) for mark in spec.marks.split()):
                 return kind
@@ -216,11 +217,12 @@ def _parse_sub_block(raw, dim_a: int, where: str) -> dict:
         raise ParseError(f"{where}: expected an object with a non-negative integer 'dim'")
     dim = raw["dim"]
     out: dict = {"dim": dim}
-    for key in (*_MAP_KEYS, *_ACTION_KEYS):
+    for key in _MAP_KEYS:
         if key in raw:
-            at = f"{where}.{key}"
-            out[key] = (_parse_matrix(raw[key], dim, at) if key in _MAP_KEYS else
-                        _parse_entries(raw[key], *_action_layout(key, dim_a, dim), at))
+            out[key] = _parse_matrix(raw[key], dim, f"{where}.{key}")
+    for key in _ACTION_KEYS:
+        if key in raw:
+            out[key] = _parse_entries(raw[key], *_action_layout(key, dim_a, dim), f"{where}.{key}")
     return out
 
 
@@ -278,10 +280,12 @@ def _matrix_out(endo: Endo) -> list:
 
 def _sub_block_out(blk: dict, dim_a: int) -> dict:
     out: dict = {"dim": blk["dim"]}
-    for key in (*_MAP_KEYS, *_ACTION_KEYS):
+    for key in _MAP_KEYS:
         if key in blk:
-            out[key] = (_matrix_out(blk[key]) if key in _MAP_KEYS else
-                        _entries_out(blk[key], *_action_layout(key, dim_a, blk["dim"])))
+            out[key] = _matrix_out(blk[key])
+    for key in _ACTION_KEYS:
+        if key in blk:
+            out[key] = _entries_out(blk[key], *_action_layout(key, dim_a, blk["dim"]))
     return out
 
 
@@ -301,17 +305,13 @@ def structure_to_model(obj, name: str | None = None) -> ModelFile:
     return ModelFile("model" if name is None else name, **_flatten(obj, {}))
 
 
-def _text(obj, name: str | None) -> str:
-    return json.dumps(model_to_dict(structure_to_model(obj, name)), indent=2) + "\n"
-
-
 def dumps(obj, name: str | None = None) -> str:
-    return _text(obj, name)
+    return json.dumps(model_to_dict(structure_to_model(obj, name)), indent=2) + "\n"
 
 
 def save(obj, path: str, name: str | None = None):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_text(obj, name))
+        fh.write(json.dumps(model_to_dict(structure_to_model(obj, name)), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
