@@ -18,10 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
-from .exactcore import LinMap, render_flat, unflatten
+from .exactcore import LinMap, Record, render_flat, unflatten
 from .structures import (
     Algebra, Augmented, Bialgebra, Bimodule, Coalgebra, Coaugmented,
     Dendriform, HopfBimodule, HopfModule, LeftComodule, LeftModule, PreLie,
@@ -31,8 +30,7 @@ from .structures import (
 Laws = Iterator[tuple]  # rows (label, lhs, rhs, in_dims, out_dims, out_legs)
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(Record):
     """Reports sort violations by (label, indices, lhs, rhs), field order."""
 
     equation_id: str
@@ -40,13 +38,17 @@ class Violation:
     lhs: str
     rhs: str
 
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() < other._values()
+
     def as_dict(self) -> dict:
         return {"equation_id": self.equation_id, "indices": list(self.indices),
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     violations: tuple[Violation, ...]
 
     @property

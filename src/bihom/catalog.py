@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 
-from . import ybe
-from .constructions import trivial_coproduct, yau_twist
 from .errors import ParseError
 from .exactcore import Comul, Covec, Elem2, Endo, Mul, Vec
 from .models import KINDS, ModelFile, structure_to_model
@@ -36,6 +34,7 @@ def _kz2() -> ModelFile:
 
 def _kz2_yau() -> ModelFile:
     # the kz2 structure twisted by g -> -g in all four slots
+    from .constructions import yau_twist
     theta = Endo(2, ((1, 0), (0, -1)))
     kz2 = _kz2().to_structure("bialgebra")
     return structure_to_model(yau_twist(kz2, theta, theta, theta, theta), "kz2-yau")
@@ -56,6 +55,7 @@ def _trunc_poly(order: int) -> ModelFile:
 
 def _trivial(side: str) -> ModelFile:
     # the weight-1 coproduct a -> -(a (x) 1) resp. -(1 (x) a) on the dual numbers
+    from .constructions import trivial_coproduct
     algebra = _dual_numbers().to_structure("algebra")
     return structure_to_model(trivial_coproduct(algebra, _ID2, _ID2, 1, side), f"trivial-{side}")
 
@@ -103,6 +103,7 @@ def entry(name: str) -> ModelFile:
 
 def selftest() -> list[str]:
     """Replay every declared expectation; returns failure descriptions."""
+    from . import ybe
     failures = []
     for name, (kind, expect) in EXPECTATIONS.items():
         model = entry(name)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import axioms, catalog, constructions, models, ybe
+from . import axioms, models
 from .errors import BihomError
 from .exactcore import Endo, Q, scalar_parse
 from .models import ModelFile
@@ -59,6 +59,8 @@ def _weight_of(model: ModelFile, override: str | None, fallback: ModelFile | Non
 def _cmd_verify(args) -> int:
     model = models.load(args.file)
     kind = args.kind if args.kind != "auto" else model.kind_auto()
+    if args.full_axioms and kind != "dendriform":
+        raise BihomError(f"--full-axioms applies to dendriform models only, not {kind}")
     options = {"full_axioms": args.full_axioms} if kind == "dendriform" else {}
     report = CHECKERS[kind](model.to_structure(kind), **options)
     _print_report(report, args.json, f"{model.name} as {kind}")
@@ -66,6 +68,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     b = model.to_structure("bialgebra")
     maps = models.load(args.maps)
@@ -76,6 +79,7 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_delta_r(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
@@ -87,6 +91,7 @@ def _cmd_delta_r(args) -> int:
 
 
 def _cmd_mu_sigma(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     c = model.to_structure("coalgebra")
     sfile = models.load(args.sigma, "sigma")
@@ -98,6 +103,7 @@ def _cmd_mu_sigma(args) -> int:
 
 
 def _cmd_ybe(args) -> int:
+    from . import ybe
     model = models.load(args.file)
     a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
@@ -116,6 +122,7 @@ def _cmd_ybe(args) -> int:
 
 
 def _cmd_co_ybe(args) -> int:
+    from . import ybe
     model = models.load(args.file)
     c = model.to_structure("coalgebra")
     sfile = models.load(args.sigma, "sigma")
@@ -133,6 +140,7 @@ def _cmd_co_ybe(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     dual = constructions.dualize(model.to_structure("bialgebra"))
     _emit(dual, args.output, f"{model.name}-dual")
@@ -140,6 +148,7 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_tensor(args) -> int:
+    from . import constructions
     x = models.load(args.a)
     y = models.load(args.b)
     kind, build = (("coaugmented", constructions.coaug_tensor_product) if args.co
@@ -150,6 +159,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_prelie(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     b = model.to_structure("bialgebra")
     p = constructions.prelie_noninv(b) if args.noninv else constructions.prelie_from_bialgebra(b)
@@ -158,6 +168,7 @@ def _cmd_prelie(args) -> int:
 
 
 def _cmd_prelie_coalgebra(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     p = constructions.prelie_coalgebra(model.to_structure("bialgebra"), noninv=args.noninv)
     _emit(p, args.output, f"{model.name}-prelie-coalgebra")
@@ -165,6 +176,7 @@ def _cmd_prelie_coalgebra(args) -> int:
 
 
 def _cmd_rota_baxter(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     a = model.to_structure("algebra")
     rfile = models.load(args.r, "r")
@@ -176,6 +188,7 @@ def _cmd_rota_baxter(args) -> int:
 
 
 def _cmd_dendriform(args) -> int:
+    from . import constructions
     model = models.load(args.file)
     rb = model.to_structure("rota-baxter")
     d = constructions.dendriform_from_rb(rb, variant=args.variant)
@@ -190,6 +203,7 @@ def _pick_map(block: dict | None, key: str, default: Endo) -> Endo:
 
 
 def _cmd_hopf_module(args) -> int:
+    from . import constructions
     if args.vdim < 0:
         raise BihomError(f"--vdim must be a non-negative integer, got {args.vdim}")
     model = models.load(args.file)
@@ -253,6 +267,7 @@ def _cmd_hopf_module(args) -> int:
 
 
 def _cmd_search_r(args) -> int:
+    from . import ybe
     model = models.load(args.file)
     a = model.to_structure("algebra")
     weight = _weight_of(model, args.weight)
@@ -272,6 +287,7 @@ def _cmd_search_r(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
     if args.selftest:
         failures = catalog.selftest()
         if args.json:

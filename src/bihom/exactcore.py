@@ -31,7 +31,6 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
 
@@ -61,6 +60,75 @@ def scalar_render(x: Q) -> str:
 
 def _coerce(values: Iterable) -> tuple:
     return tuple(v if type(v) is Q else Q(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """An immutable record. Its fields are the annotated names of its class
+    and bases, ClassVars aside, in order; a class attribute of a field's
+    name is its default. Records take fields by position or name, then run
+    __post_init__ if the class has one; they compare and hash as the tuple
+    of their fields and refuse assignment. Unlike a dataclass, a record
+    class defines no methods of its own when it is created."""
+
+    _fields: ClassVar[tuple[str, ...]] = ()
+    _defaults: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = {name: None for klass in reversed(cls.__mro__)
+                 for name, note in vars(klass).get("__annotations__", {}).items()
+                 if not str(note).startswith(("ClassVar", "typing.ClassVar"))}
+        cls._fields = tuple(names)
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._fields, args))
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of each field: from args by position, from kwargs by
+        name, else its default; TypeError as a call would raise it."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, "
+                            f"got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._fields or key in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {key!r}")
+            values[key] = value
+        missing = [key for key in cls._fields if key not in values and key not in cls._defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing arguments {', '.join(map(repr, missing))}")
+        return [values[key] if key in values else cls._defaults[key] for key in cls._fields]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, key) for key in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                f"{', '.join(f'{key}={getattr(self, key)!r}' for key in self._fields)})")
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"cannot assign to field {key!r} of a {type(self).__name__}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"cannot delete field {key!r} of a {type(self).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +193,7 @@ def table_entries(m: "LinMap", dims: Sequence[int], target: Sequence[int]) -> li
 # structure records
 
 
-@dataclass(frozen=True, init=False)
-class _Tensor:
+class _Tensor(Record):
     """A tensor whose legs all have dimension dim, stored as the map the
     checkers compose (table_map's layout for the class's legs and target).
     The constructor takes that map, a dict of {index tuple: value} cells or
@@ -442,14 +509,13 @@ def _gather(rows: int, cells: Iterable) -> list:
     return [(tuple(cs), tuple(vs)) if cs else _NO_CELLS for cs, vs in out]
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class LinMap:
+class LinMap(Record):
     """An exact linear map from the source basis (columns) to the target
     basis (rows).
 
     The stored form is ``nonzeros``: for each row, its nonzero cells as
     (columns ascending, values), all Fractions, with no zero cell. It is
-    canonical, so the dataclass ==, hash and every operation read it, and
+    canonical, so the Record ==, hash and every operation read it, and
     each operation writes only the view of its result. ``a``, the dense
     rows of Fractions, is a read-only view built on first read and cached;
     the kernel never asks for it. ``LinMap(rows, cols, a)`` builds a map

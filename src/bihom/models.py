@@ -12,24 +12,22 @@ Two tables hold the schema. BLOCKS maps each JSON key to its ModelFile
 attribute and its format, in save order; one loop parses a file and one
 saves it. KINDS maps each structure kind, in inference order, to the blocks
 that mark a file of that kind, its record class and its checker. Records
-convert through their dataclass fields: a field is the ModelFile attribute
-of its name, a nested record is built from the same file, and the fields of
-a (co)module live in the `module` or `comodule` block, `alpha_m` under the
-key `alpha` and so on.
+convert through their fields (`cls._fields`): a field is the ModelFile
+attribute of its name, a nested record is built from the same file, and the
+fields of a (co)module live in the `module` or `comodule` block, `alpha_m`
+under the key `alpha` and so on.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, get_type_hints
 
 from . import axioms
 from .errors import IndexOutOfRange, ParseError
 from .exactcore import (
-    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Vec, ZERO, scalar_parse,
+    BiForm, Comul, Covec, Elem2, Endo, LinMap, Mul, Q, Record, Vec, ZERO, scalar_parse,
     scalar_render, table_entries, table_map,
 )
 from .structures import (
@@ -45,8 +43,7 @@ _SIDES = {"action": "module", "raction": "module", "alpha_m": "module", "beta_m"
           "omega_m": "comodule"}
 
 
-@dataclass
-class ModelFile:
+class ModelFile(Record):
     """A parsed model file: each block of BLOCKS as an exact kernel object,
     or None where the file lacks it."""
 
@@ -141,24 +138,25 @@ def _is_record(typ) -> bool:
 def _fields(cls) -> dict[str, tuple[type, bool]]:
     """Each field of the record class cls: its type, and whether it may be None."""
     hints = get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default is None) for f in dataclasses.fields(cls)}
+    return {name: (hints[name], name in cls._defaults and cls._defaults[name] is None)
+            for name in cls._fields}
 
 
 def _flatten(rec, parts: dict) -> dict:
     """The ModelFile attributes of the record rec added to parts, where
     the first writer wins (a module's `over` repeats its Hopf module's)."""
-    sides = {_SIDES[f.name] for f in dataclasses.fields(rec) if f.name in _SIDES}
-    for f in dataclasses.fields(rec):
-        value = getattr(rec, f.name)
+    sides = {_SIDES[name] for name in rec._fields if name in _SIDES}
+    for name in rec._fields:
+        value = getattr(rec, name)
         if _is_record(type(value)):
             _flatten(value, parts)
-        elif f.name in _SIDES:
-            parts.setdefault(_SIDES[f.name], {})[f.name.removesuffix("_m")] = value
-        elif f.name == "dim" and sides:
+        elif name in _SIDES:
+            parts.setdefault(_SIDES[name], {})[name.removesuffix("_m")] = value
+        elif name == "dim" and sides:
             for side in sides:
                 parts.setdefault(side, {})["dim"] = value
         else:
-            parts.setdefault(f.name, value)
+            parts.setdefault(name, value)
     return parts
 
 
@@ -301,7 +299,7 @@ def structure_to_model(obj, name: str | None = None) -> ModelFile:
     """A record, or a model, as a model ready for saving under name (by
     default the model's own name, or 'model')."""
     if isinstance(obj, ModelFile):
-        return obj if name is None else dataclasses.replace(obj, name=name)
+        return obj if name is None else ModelFile(**dict(vars(obj), name=name))
     return ModelFile("model" if name is None else name, **_flatten(obj, {}))
 
 

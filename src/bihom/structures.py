@@ -1,25 +1,22 @@
 """Bundled domain structures and the twisted module-action primitives.
 
-All records are frozen dataclasses: pure data, safe to share, compared
-fieldwise. A module or comodule record stores each (co)action as its
-LinMap; its constructor also takes the dense table of its docstring. Only
-shapes are checked at construction time; the checkers in
+All records are immutable exactcore.Record classes: pure data, safe to
+share, compared fieldwise. A module or comodule record stores each
+(co)action as its LinMap; its constructor also takes the dense table of its
+docstring. Only shapes are checked at construction time; the checkers in
 :mod:`bihom.axioms` check the axioms and report violations as data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, NonCommutingMaps, NonMultiplicativeMap
 from .exactcore import (
-    Comul, Covec, Endo, LinMap, Mul, Q, Vec, endo_tensor, first_noncommuting,
+    Comul, Covec, Endo, LinMap, Mul, Q, Record, Vec, endo_tensor, first_noncommuting,
     first_nonmultiplicative, mul_apply, table_map,
 )
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     """A BiHom-associative algebra (A, mul, alpha, beta) with optional unit."""
 
     dim: int
@@ -39,8 +36,7 @@ class Algebra:
         return mul_apply(self.mul, a, b)
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(Record):
     """A BiHom-coassociative coalgebra (C, comul, psi, omega), optional counit."""
 
     dim: int
@@ -57,8 +53,7 @@ class Coalgebra:
             raise DimensionMismatch("counit has wrong dim")
 
 
-@dataclass(frozen=True)
-class Bialgebra:
+class Bialgebra(Record):
     """An algebra and a coalgebra on one space, coupled at weight lambda."""
 
     algebra: Algebra
@@ -101,8 +96,7 @@ def _store_parts(rec, tables: dict[str, str], twists: tuple[str, ...]):
                                     f"the carrier has dim {rec.dim}")
 
 
-@dataclass(frozen=True)
-class LeftModule:
+class LeftModule(Record):
     """Left action of an algebra: e_i |> f_p = sum_q action[i][p][q] f_q."""
 
     over: Algebra
@@ -115,8 +109,7 @@ class LeftModule:
         _store_parts(self, {"action": "action"}, ("alpha_m", "beta_m"))
 
 
-@dataclass(frozen=True)
-class RightModule:
+class RightModule(Record):
     """Right action of an algebra: f_p <| e_i = sum_q action[p][i][q] f_q."""
 
     over: Algebra
@@ -129,8 +122,7 @@ class RightModule:
         _store_parts(self, {"action": "raction"}, ("alpha_m", "beta_m"))
 
 
-@dataclass(frozen=True)
-class Bimodule:
+class Bimodule(Record):
     """Simultaneous left and right actions on one carrier."""
 
     over: Algebra
@@ -152,8 +144,7 @@ class Bimodule:
         return RightModule(self.over, self.dim, self.raction, self.alpha_m, self.beta_m)
 
 
-@dataclass(frozen=True)
-class LeftComodule:
+class LeftComodule(Record):
     """Left coaction: rho(f_p) = sum h[p][i][q] e_i (x) f_q."""
 
     over: Coalgebra
@@ -166,8 +157,7 @@ class LeftComodule:
         _store_parts(self, {"coaction": "coaction"}, ("psi_m", "omega_m"))
 
 
-@dataclass(frozen=True)
-class RightComodule:
+class RightComodule(Record):
     """Right coaction: phi(f_p) = sum h[p][q][i] f_q (x) e_i."""
 
     over: Coalgebra
@@ -180,8 +170,7 @@ class RightComodule:
         _store_parts(self, {"coaction": "rcoaction"}, ("psi_m", "omega_m"))
 
 
-@dataclass(frozen=True)
-class HopfModule:
+class HopfModule(Record):
     """A module and comodule on one carrier, coupled by the weighted law."""
 
     over: Bialgebra
@@ -193,8 +182,7 @@ class HopfModule:
             raise DimensionMismatch("module and comodule carriers differ")
 
 
-@dataclass(frozen=True)
-class HopfBimodule:
+class HopfBimodule(Record):
     """Left/right actions and coactions on one carrier (five-part axioms)."""
 
     over: Bialgebra
@@ -213,8 +201,7 @@ class HopfBimodule:
                      ("alpha_m", "beta_m", "psi_m", "omega_m"))
 
 
-@dataclass(frozen=True)
-class RotaBaxter:
+class RotaBaxter(Record):
     """An algebra with a weight-lambda Rota-Baxter operator."""
 
     algebra: Algebra
@@ -227,8 +214,7 @@ class RotaBaxter:
             raise DimensionMismatch("operator has wrong dim")
 
 
-@dataclass(frozen=True)
-class Dendriform:
+class Dendriform(Record):
     """A product split into two halves whose sum is BiHom-associative."""
 
     dim: int
@@ -247,8 +233,7 @@ class Dendriform:
         return self.prec + self.succ
 
 
-@dataclass(frozen=True)
-class PreLie:
+class PreLie(Record):
     """A product whose twisted associator is symmetric in the first two slots."""
 
     dim: int
@@ -262,8 +247,7 @@ class PreLie:
                 raise DimensionMismatch("pre-Lie parts disagree on dim")
 
 
-@dataclass(frozen=True)
-class PreLieCoalgebra:
+class PreLieCoalgebra(Record):
     """The coproduct dual of a pre-Lie product, with its two twists."""
 
     dim: int
@@ -277,8 +261,7 @@ class PreLieCoalgebra:
                 raise DimensionMismatch("pre-Lie coalgebra parts disagree on dim")
 
 
-@dataclass(frozen=True)
-class Augmented:
+class Augmented(Record):
     """An algebra with a weight-lambda multiplicative-up-to-sign functional."""
 
     algebra: Algebra
@@ -291,8 +274,7 @@ class Augmented:
             raise DimensionMismatch("augmentation has wrong dim")
 
 
-@dataclass(frozen=True)
-class Coaugmented:
+class Coaugmented(Record):
     """A coalgebra with a grouplike-up-to-sign element of weight lambda."""
 
     coalgebra: Coalgebra

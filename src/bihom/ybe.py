@@ -17,21 +17,19 @@ bilinear form sigma on a coalgebra C is the residual of sigma^T on C*.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import axioms, constructions
 from .errors import (
     BihomError, DimensionMismatch, MissingCounit, MissingUnit, SearchSpaceTooLarge,
 )
 from .exactcore import (
-    ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, elem3_build, elem3_map, elem_map,
-    endo_inverse, endo_is_invertible, form_map, outer_flat, square_map,
+    ELEM3_KINDS, ZERO, BiForm, Elem2, Elem3, Endo, LinMap, Q, Record, elem3_build, elem3_map,
+    elem_map, endo_inverse, endo_is_invertible, form_map, outer_flat, square_map,
 )
 from .structures import Algebra, Coalgebra, twisted_left_action, twisted_right_action
 
 
-@dataclass(frozen=True)
-class YbeReport:
+class YbeReport(Record):
     residual: Elem3
     is_solution: bool
     characterization: dict[str, bool]

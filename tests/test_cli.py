@@ -552,3 +552,51 @@ def test_hopf_bimodule_roundtrip_and_verify(tmp_path, capsys):
     assert run(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "hopf-bimodule" in out
+
+
+def test_full_axioms_on_another_kind_exits_2_naming_it(capsys):
+    path = os.path.join(GOLDEN_INPUTS, "trunc-poly-2.json")
+    assert run(["verify", path, "--full-axioms"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --full-axioms applies to dendriform models only, not bialgebra\n"
+
+
+# Modules a cold `verify` must not load: dataclasses (and the inspect it
+# imports) cost about 10 ms, and the verbs' own modules are compiled afresh
+# in every process.
+_COLD_FORBIDDEN = ("dataclasses", "inspect", "bihom.constructions", "bihom.ybe", "bihom.catalog")
+
+_PROBE = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["bihom", *sys.argv[1:]]
+try:
+    runpy.run_module("bihom.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+def _cold_modules(*argv) -> set[str]:
+    """The modules a fresh `python -m bihom.cli argv` process loads beyond
+    those the interpreter had loaded before it ran."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    code, *loaded = proc.stderr.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(loaded)
+
+
+def test_cold_verify_loads_only_what_it_uses():
+    loaded = _cold_modules("verify", os.path.join(GOLDEN_INPUTS, "kz2.json"))
+    assert {"bihom.axioms", "bihom.models", "bihom.structures"} <= loaded
+    assert not loaded.intersection(_COLD_FORBIDDEN)
+
+
+def test_cold_catalog_listing_loads_no_constructions():
+    loaded = _cold_modules("catalog", "--json")
+    assert "bihom.catalog" in loaded
+    assert "bihom.constructions" not in loaded and "bihom.ybe" not in loaded

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
 from fractions import Fraction as Q
+from typing import ClassVar
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from bihom.exactcore import (
     BiForm, Comul, Covec, Elem2, Elem3, Endo, LinMap, Mul, Vec, elem3_build, endo_inverse,
     mul_apply, render_elem3, render_flat, scalar_parse, scalar_render,
 )
+import bihom
 from bihom import axioms, catalog, cli, exactcore, models
 
 ID2 = Endo.identity(2)
@@ -563,3 +566,112 @@ def test_render_flat_matches_dense_reference(data):
                                  st.just([Q(0)] * math.prod(dims))))
     cells = [(flat, c) for flat, c in enumerate(coeffs) if c]
     assert render_flat(cells, dims, legs) == render_flat_dense(coeffs, dims, legs)
+
+
+# ---------------------------------------------------------------------------
+# Record against a frozen dataclass with the same fields
+
+
+def _record_classes() -> list[type]:
+    """Every Record subclass defined in the package."""
+    for name in bihom.__all__:
+        getattr(bihom, name)
+    found, todo = [], [exactcore.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("bihom."):
+                found.append(sub)
+    return sorted(found, key=lambda c: (c.__module__, c.__qualname__))
+
+
+RECORDS = _record_classes()
+
+
+def _twin(cls, name=None):
+    """A frozen dataclass with the fields of cls, ordered like Violation."""
+    return dataclasses.make_dataclass(name or cls.__qualname__, [(f, object) for f in cls._fields],
+                                      frozen=True, order=cls is axioms.Violation)
+
+
+def _bare(cls, values: dict):
+    """An instance of cls holding values, made without its constructor
+    (whose checks would refuse placeholder values)."""
+    rec = object.__new__(cls)
+    rec.__dict__.update(values)
+    return rec
+
+
+def _placeholders(cls, salt=0) -> dict:
+    return {f: (i + salt, f) for i, f in enumerate(cls._fields)}
+
+
+def test_every_record_class_is_found():
+    names = {cls.__qualname__ for cls in RECORDS}
+    assert {"Algebra", "HopfBimodule", "Violation", "Report", "YbeReport", "ModelFile",
+            "_Tensor", "Vec", "LinMap"} <= names
+    assert len(RECORDS) >= 21 and all(cls._fields for cls in RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+def test_record_matches_its_dataclass_twin(cls):
+    twin = _twin(cls)
+    values = _placeholders(cls)
+    rec, dup, twin_rec = _bare(cls, values), _bare(cls, dict(values)), twin(**values)
+    if "__repr__" not in vars(cls):      # LinMap prints its dense rows
+        assert repr(rec) == repr(twin_rec)
+    assert (rec == dup) is (twin_rec == twin(**values)) is True
+    assert hash(rec) == hash(twin_rec) == hash(dup)
+    other = _placeholders(cls, salt=1)
+    assert (rec == _bare(cls, other)) is (twin_rec == twin(**other)) is False
+    # equal fields in another class: both sides decline, so != holds
+    sub, twin_sub = type("Sub", (cls,), {}), type("Sub", (twin,), {})
+    assert sub._fields == cls._fields
+    assert (rec == _bare(sub, values)) is (twin_rec == twin_sub(**values)) is False
+    for build in (cls, twin):
+        with pytest.raises(TypeError):
+            build()
+        with pytest.raises(TypeError):
+            build(**values, no_such_field=0)
+    for obj in (rec, twin_rec):
+        with pytest.raises(AttributeError):
+            setattr(obj, cls._fields[0], 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, cls._fields[0])
+
+
+def test_violations_sort_like_an_ordered_dataclass():
+    twin = _twin(axioms.Violation)
+    rows = list(itertools.product(("(1.3)", "(12.4)"), ((0, 1), (1, 0), (1,)), ("a", "-a"), ("b",)))
+    rows = rows[1::2] + rows[::2]
+    got = sorted(axioms.Violation(*row) for row in rows)
+    want = sorted(twin(*row) for row in rows)
+    assert [v._values() for v in got] == [dataclasses.astuple(t) for t in want]
+    with pytest.raises(TypeError):
+        axioms.Violation(*rows[0]) < _twin(axioms.Violation, "Other")(*rows[0])
+
+
+def test_record_constructor_binds_like_a_dataclass():
+    class Point(exactcore.Record):
+        x: int
+        y: int
+        label: str | None = None
+        dims: ClassVar[int] = 2
+
+        def __post_init__(self):
+            if self.x < 0:
+                raise ValueError("negative x")
+
+    assert Point._fields == ("x", "y", "label")
+    assert Point(1, 2) == Point(y=2, x=1) == Point(1, 2, None)
+    assert Point(1, 2, "p").label == "p" and Point(1, 2).label is None
+    assert repr(Point(1, y=2)).endswith(".Point(x=1, y=2, label=None)")
+    with pytest.raises(TypeError):
+        Point(1)
+    with pytest.raises(TypeError):
+        Point(1, 2, "p", 4)
+    with pytest.raises(TypeError):
+        Point(1, 2, x=1)
+    with pytest.raises(ValueError):
+        Point(-1, 2)
+    assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
